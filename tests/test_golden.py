@@ -1,0 +1,81 @@
+"""Byte-exact golden reports: the behaviour contract of the verifier.
+
+Each case runs the CLI in process and compares the report with the file of
+the same name under ``tests/golden/``.  The failing Moreau cases cover the
+``witnesses`` and ``shrunk`` fields: on the Lorentz cones (``--pair moreau``
+is dimension 3) five checks fail, and the non-orthogonal simplicial cone
+runs its maps through ``FaceTable``.
+
+Regenerate the files (only when a change of report bytes is intended and
+recorded) with::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from conelab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SAMPLES = 300
+SEEDS = (1, 2)
+
+# Generators of a non-orthogonal simplicial cone, one per row.
+_SKEW = [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+
+_PAIRS = {
+    "lorentz-8-moreau": {"family": "moreau", "cone": {"type": "lorentz", "dim": 8}},
+    "simplicial-moreau": {"family": "moreau", "cone": {"type": "simplicial", "basis": _SKEW}},
+    "simplicial-lattice": {"family": "lattice", "cone": {"type": "simplicial", "basis": _SKEW}},
+    "orthant-4-minkowski": {"family": "minkowski", "cone": {"type": "orthant", "dim": 4},
+                            "interior_point": [1.0, 2.0, 0.5, 1.0]},
+}
+
+
+def _cases():
+    """(file name, CLI arguments, verify config or None) for every golden file."""
+    cases = []
+    for seed in SEEDS:
+        common = ["--samples", str(SAMPLES), "--seed", str(seed)]
+        for family in ("lattice", "moreau", "minkowski"):
+            cases.append((f"verify-{family}-seed{seed}.json",
+                          ["verify", "--pair", family] + common, None))
+        for name, pair in _PAIRS.items():
+            config = {"command": "verify", "pair": pair, "samples": SAMPLES, "seed": seed}
+            cases.append((f"verify-{name}-seed{seed}.json", ["verify"], config))
+        cases.append((f"demo-moreau-subadd-seed{seed}.json",
+                      ["demo", "moreau-subadd"] + common, None))
+    return cases
+
+
+def _run(args, config, workdir):
+    workdir = Path(workdir)
+    if config is not None:
+        path = workdir / "config.json"
+        path.write_text(json.dumps(config))
+        args = args + ["--config", str(path)]
+    out = workdir / "report.json"
+    code = main(args + ["--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name,args,config", _cases(), ids=[c[0] for c in _cases()])
+def test_report_bytes_match_golden(tmp_path, name, args, config):
+    code, raw = _run(args, config, tmp_path)
+    assert code in (0, 1)
+    assert raw == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, args, config in _cases():
+            _, raw = _run(args, config, tmp)
+            (GOLDEN / name).write_bytes(raw)
+            print(name, file=sys.stderr)
