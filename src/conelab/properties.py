@@ -9,6 +9,10 @@ Each checker draws seeded samples, evaluates residuals, and returns a
   residuals inside ``[eps/10, 10*eps]`` make the verdict ``inconclusive``
   instead of flipping between pass and fail at the boundary.
 
+Each residual is defined once, as a function of row batches that returns
+one value per row: a checker evaluates it on all samples, and witness
+shrinking and replay evaluate the same function on witness rows.
+
 Failures carry replayable witnesses (the original sample, plus a
 bisection-shrunk variant for readability).  Checkers are deterministic
 functions of (pair, n_samples, seed); witnesses are sorted by norm and
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL
+from .cones import DEFAULT_TOL, _scales
 from .sampling import cone_members, gaussian_points, rng_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -31,6 +35,11 @@ ALGEBRA_ABS_TOL = 1e-12
 
 _WITNESS_CAP = 8
 _SHRINK_STEPS = 20
+
+# Witness order is keyed on the 1-D norm of the first input, which can
+# differ from a batch row norm by a few ulps; every failing row whose batch
+# norm is within this relative margin of the cut gets the exact key.
+_CUT_RTOL = 1e-9
 
 # status codes per sample
 _OK, _BAND, _BAD = 0, 1, 2
@@ -56,10 +65,6 @@ class PropertyReport:
                 "tolerances": self.tolerances.to_json_dict()}
 
 
-def _scales(X):
-    return 1.0 + np.linalg.norm(X, axis=1)
-
-
 def _membership_status(res, eps):
     out = np.full(np.shape(res), _OK, dtype=int)
     out[np.asarray(res) >= eps / 10.0] = _BAND
@@ -73,40 +78,99 @@ def _norm_status(res, eps):
     return out
 
 
-def _shrink(replay, arrays, threshold):
-    """Bisect the scale of a failing witness toward the smallest norm that
-    still fails; maps are positively homogeneous, so scaling is faithful."""
-    lo, hi = 0.0, 1.0
+def _shrink(residual, arrays, threshold):
+    """Bisect the scale of each failing witness row toward the smallest norm
+    that still fails; maps are positively homogeneous, so scaling is
+    faithful.  All rows are bisected together, one batch per step.
+
+    Returns the scaled rows and the residual of each, evaluated on its own
+    1-row batch as a replay of that witness does: a k-row matmul can round
+    differently in the last digit from a 1-row one.
+    """
+    lo = np.zeros(arrays[0].shape[0])
+    hi = np.ones(arrays[0].shape[0])
     for _ in range(_SHRINK_STEPS):
         mid = 0.5 * (lo + hi)
-        if replay(*(mid * a for a in arrays)) > threshold:
-            hi = mid
-        else:
-            lo = mid
-    scaled = [hi * a for a in arrays]
-    return scaled, replay(*scaled)
+        fails = residual(*(mid[:, None] * a for a in arrays)) > threshold
+        hi = np.where(fails, mid, hi)
+        lo = np.where(fails, lo, mid)
+    scaled = [hi[:, None] * a for a in arrays]
+    return scaled, [float(residual(*(a[i:i + 1] for a in scaled))[0])
+                    for i in range(hi.size)]
 
 
 class _Check:
-    """Accumulates per-sample statuses and witness candidates."""
+    """Accumulates per-sample statuses and, per check label, the failing rows."""
 
     def __init__(self):
         self.any_band = False
         self.any_bad = False
-        self.candidates = []
+        # (check label, residual function, shrink threshold, input names,
+        #  failing rows of each input, their residuals)
+        self.failures = []
 
-    def add(self, status, inputs, residuals, check, replay, threshold):
+    def add(self, check, residual, inputs, status, res, threshold):
+        """Record one labelled check; ``residual`` replays it on rows of
+        ``inputs`` (None when the rows alone cannot replay it)."""
         status = np.asarray(status)
         self.any_band = self.any_band or bool((status == _BAND).any())
-        bad = np.nonzero(status == _BAD)[0]
-        if bad.size == 0:
+        bad = status == _BAD
+        if not bad.any():
             return
         self.any_bad = True
-        res = np.asarray(residuals, dtype=float)
-        for i in bad:
-            arrays = [np.atleast_1d(np.asarray(a[i], dtype=float)) for a in inputs.values()]
-            self.candidates.append((list(inputs.keys()), arrays, float(res[i]),
-                                    check, replay, threshold))
+        self.failures.append((check, residual, threshold, list(inputs),
+                              [np.asarray(a, dtype=float)[bad] for a in inputs.values()],
+                              np.asarray(res, dtype=float)[bad]))
+
+    def norm(self, check, residual, inputs, eps):
+        """A norm identity: a sample fails when its residual exceeds eps."""
+        res = residual(*inputs.values())
+        self.add(check, residual, inputs, _norm_status(res, eps), res, eps)
+
+    def membership(self, check, residual, inputs, eps):
+        """A membership test, inconclusive inside the band [eps/10, 10 eps]."""
+        res = residual(*inputs.values())
+        self.add(check, residual, inputs, _membership_status(res, eps), res, 10.0 * eps)
+
+    def _witnesses(self):
+        """The reported witnesses: the failing rows with the smallest first
+        input by norm, then lexicographically, then in insertion order;
+        each with its shrunk variant when its residual can be replayed."""
+        if not self.failures:
+            return []
+        inputs = [rows for *_, rows, _ in self.failures]
+        sizes = [rows[0].shape[0] for rows in inputs]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        norms = np.linalg.norm(np.concatenate([rows[0] for rows in inputs]), axis=1)
+        near = range(norms.size)
+        if norms.size > _WITNESS_CAP:
+            cut = np.partition(norms, _WITNESS_CAP - 1)[_WITNESS_CAP - 1]
+            near = np.flatnonzero(norms <= cut * (1.0 + _CUT_RTOL)).tolist()
+
+        def key(i):
+            rows, r = inputs[owner[i]], local[i]
+            return (float(np.linalg.norm(rows[0][r])),
+                    tuple(np.concatenate([a[r] for a in rows]).tolist()))
+
+        chosen = sorted(near, key=key)[:_WITNESS_CAP]
+        witnesses = {}
+        for f, (check, residual, threshold, names, rows, res) in enumerate(self.failures):
+            mine = [i for i in chosen if owner[i] == f]
+            if not mine:
+                continue
+            picked = [a[local[mine]] for a in rows]
+            if residual is not None:
+                shrunk, shrunk_res = _shrink(residual, picked, threshold)
+            for j, i in enumerate(mine):
+                w = {name: a[j].tolist() for name, a in zip(names, picked)}
+                w["residual"] = float(res[local[i]])
+                w["check"] = check
+                if residual is not None:
+                    w["shrunk"] = {name: a[j].tolist() for name, a in zip(names, shrunk)}
+                    w["shrunk"]["residual"] = shrunk_res[j]
+                witnesses[i] = w
+        return [witnesses[i] for i in chosen]
 
     def finish(self, property_id, n_samples, seed, tol):
         if self.any_bad:
@@ -115,22 +179,61 @@ class _Check:
             verdict = INCONCLUSIVE
         else:
             verdict = PASS
-        witnesses = []
-        ordered = sorted(self.candidates,
-                         key=lambda c: (float(np.linalg.norm(c[1][0])),
-                                        tuple(np.concatenate(c[1]).tolist())))
-        for names, arrays, res, check, replay, threshold in ordered[:_WITNESS_CAP]:
-            w = {name: arr.tolist() for name, arr in zip(names, arrays)}
-            w["residual"] = res
-            w["check"] = check
-            if replay is not None:
-                shrunk, sres = _shrink(replay, arrays, threshold)
-                w["shrunk"] = {name: arr.tolist() for name, arr in zip(names, shrunk)}
-                w["shrunk"]["residual"] = float(sres)
-            witnesses.append(w)
         return PropertyReport(property_id=property_id, verdict=verdict,
-                              samples_run=n_samples, witnesses=witnesses,
+                              samples_run=n_samples, witnesses=self._witnesses(),
                               seed=seed, tolerances=tol)
+
+
+# Residual functions shared between checkers.  Each maps row batches to one
+# residual per row.
+
+def _worst(*residuals):
+    """Row-wise maximum of residuals over the same inputs."""
+    return lambda *rows: np.maximum.reduce([r(*rows) for r in residuals])
+
+
+def _decomposition(pair):
+    """m(x) + n(x) = x, relative to 1 + |x|."""
+    return lambda X: np.linalg.norm(pair.m(X) + pair.n(X) - X, axis=1) / _scales(X)
+
+
+def _cross_null(pair):
+    """m(n(x)) = n(m(x)) = 0, relative to 1 + |x|."""
+    return lambda X: np.maximum(np.linalg.norm(pair.m(pair.n(X)), axis=1),
+                                np.linalg.norm(pair.n(pair.m(X)), axis=1)) / _scales(X)
+
+
+def _idempotence(R):
+    """R(R(x)) = R(x), relative to 1 + |x|."""
+    def residual(X):
+        image = R(X)
+        return np.linalg.norm(R(image) - image, axis=1) / _scales(X)
+    return residual
+
+
+def _image_in(cone, R):
+    """Membership of R(x) in the cone."""
+    return lambda X: cone.membership_residual(R(X))
+
+
+def _in_kernel(R):
+    """R(x) = 0, relative to 1 + |x|."""
+    return lambda X: np.linalg.norm(R(X), axis=1) / _scales(X)
+
+
+def _defect(R, X, Y):
+    """Subadditivity defect R(x) + R(y) - R(x + y)."""
+    return R(X) + R(Y) - R(X + Y)
+
+
+def _subadditivity(R, cone):
+    """Membership of the subadditivity defect in the cone."""
+    return lambda X, Y: cone.membership_residual(_defect(R, X, Y))
+
+
+def _isotonicity(R, cone):
+    """Membership of R(y) - R(x) in the cone, for comparable x <= y."""
+    return lambda X, Y: cone.membership_residual(R(Y) - R(X))
 
 
 def check_mutual_polarity(pair, n_samples=1000, seed=0):
@@ -138,24 +241,9 @@ def check_mutual_polarity(pair, n_samples=1000, seed=0):
     tol = pair.tol
     rng = rng_for(seed, "polarity")
     X = gaussian_points(rng, n_samples, pair.dim)
-    M, N = pair.m(X), pair.n(X)
-    s = _scales(X)
-    res = np.maximum.reduce([
-        np.linalg.norm(M + N - X, axis=1) / s,
-        np.linalg.norm(pair.m(N), axis=1) / s,
-        np.linalg.norm(pair.n(M), axis=1) / s,
-    ])
-
-    def replay(x):
-        sx = 1.0 + float(np.linalg.norm(x))
-        mx, nx = pair.m(x), pair.n(x)
-        return max(float(np.linalg.norm(mx + nx - x)),
-                   float(np.linalg.norm(pair.m(nx))),
-                   float(np.linalg.norm(pair.n(mx)))) / sx
-
     chk = _Check()
-    chk.add(_norm_status(res, tol.eps_equal), {"x": X}, res,
-            "sum-and-cross", replay, tol.eps_equal)
+    chk.norm("sum-and-cross", _worst(_decomposition(pair), _cross_null(pair)), {"x": X},
+             tol.eps_equal)
     return chk.finish("polarity", n_samples, seed, tol)
 
 
@@ -164,15 +252,9 @@ def check_ranges(pair, n_samples=1000, seed=0):
     tol = pair.tol
     rng = rng_for(seed, "ranges")
     X = gaussian_points(rng, n_samples, pair.dim)
-    res_m = pair.cone_m.membership_residual(pair.m(X))
-    res_n = pair.cone_n.membership_residual(pair.n(X))
     chk = _Check()
-    chk.add(_membership_status(res_m, tol.eps_membership), {"x": X}, res_m,
-            "m-image", lambda x: pair.cone_m.membership_residual(pair.m(x)),
-            10.0 * tol.eps_membership)
-    chk.add(_membership_status(res_n, tol.eps_membership), {"x": X}, res_n,
-            "n-image", lambda x: pair.cone_n.membership_residual(pair.n(x)),
-            10.0 * tol.eps_membership)
+    chk.membership("m-image", _image_in(pair.cone_m, pair.m), {"x": X}, tol.eps_membership)
+    chk.membership("n-image", _image_in(pair.cone_n, pair.n), {"x": X}, tol.eps_membership)
     return chk.finish("ranges", n_samples, seed, tol)
 
 
@@ -181,20 +263,9 @@ def check_idempotence(pair, n_samples=1000, seed=0):
     tol = pair.tol
     rng = rng_for(seed, "idempotence")
     X = gaussian_points(rng, n_samples, pair.dim)
-    M, N = pair.m(X), pair.n(X)
-    s = _scales(X)
-    res = np.maximum(np.linalg.norm(pair.m(M) - M, axis=1) / s,
-                     np.linalg.norm(pair.n(N) - N, axis=1) / s)
-
-    def replay(x):
-        sx = 1.0 + float(np.linalg.norm(x))
-        mx, nx = pair.m(x), pair.n(x)
-        return max(float(np.linalg.norm(pair.m(mx) - mx)),
-                   float(np.linalg.norm(pair.n(nx) - nx))) / sx
-
     chk = _Check()
-    chk.add(_norm_status(res, tol.eps_equal), {"x": X}, res,
-            "squared", replay, tol.eps_equal)
+    chk.norm("squared", _worst(_idempotence(pair.m), _idempotence(pair.n)), {"x": X},
+             tol.eps_equal)
     return chk.finish("idempotence", n_samples, seed, tol)
 
 
@@ -222,28 +293,14 @@ def check_range_kernel(pair, n_samples=1000, seed=0):
         cone_members(pair.cone_m, rng, n_quart),
         cone_members(pair.cone_n, rng, max(1, n_samples - n_half - n_quart)),
     ])
-    s = _scales(X)
-    res_in_m = pair.cone_m.membership_residual(X)
-    res_ker_n = np.linalg.norm(pair.n(X), axis=1) / s
-    res_in_n = pair.cone_n.membership_residual(X)
-    res_ker_m = np.linalg.norm(pair.m(X), axis=1) / s
     eps = tol.eps_membership
-
-    def replay_m(x):
-        sx = 1.0 + float(np.linalg.norm(x))
-        return max(float(pair.cone_m.membership_residual(x)),
-                   float(np.linalg.norm(pair.n(x))) / sx)
-
-    def replay_n(x):
-        sx = 1.0 + float(np.linalg.norm(x))
-        return max(float(pair.cone_n.membership_residual(x)),
-                   float(np.linalg.norm(pair.m(x))) / sx)
-
     chk = _Check()
-    chk.add(_xor_fail(_membership_status(res_in_m, eps), _membership_status(res_ker_n, eps)),
-            {"x": X}, np.maximum(res_in_m, res_ker_n), "m-side", replay_m, 10.0 * eps)
-    chk.add(_xor_fail(_membership_status(res_in_n, eps), _membership_status(res_ker_m, eps)),
-            {"x": X}, np.maximum(res_in_n, res_ker_m), "n-side", replay_n, 10.0 * eps)
+    for check, cone, R in (("m-side", pair.cone_m, pair.n), ("n-side", pair.cone_n, pair.m)):
+        in_kernel = _in_kernel(R)
+        res_in, res_ker = cone.membership_residual(X), in_kernel(X)
+        chk.add(check, _worst(cone.membership_residual, in_kernel), {"x": X},
+                _xor_fail(_membership_status(res_in, eps), _membership_status(res_ker, eps)),
+                np.maximum(res_in, res_ker), 10.0 * eps)
     return chk.finish("range-kernel", X.shape[0], seed, tol)
 
 
@@ -254,23 +311,20 @@ def check_range_negation(pair, n_samples=1000, seed=0):
     eps = tol.eps_membership
     rng = rng_for(seed, "range-negation")
     X = gaussian_points(rng, n_samples, pair.dim)
-    res_a = np.maximum(pair.cone_m.membership_residual(-pair.n(X)),
-                       pair.cone_n.membership_residual(-pair.m(X)))
     n_mem = max(1, n_samples // 2)
     Mem = cone_members(pair.cone_m, rng, n_mem)
     Nem = cone_members(pair.cone_n, rng, n_mem)
-    res_b1 = pair.cone_n.membership_residual(-Mem)
-    res_b2 = pair.cone_m.membership_residual(-Nem)
+
+    def negated_images(X):
+        return np.maximum(pair.cone_m.membership_residual(-pair.n(X)),
+                          pair.cone_n.membership_residual(-pair.m(X)))
 
     chk = _Check()
-    chk.add(_membership_status(res_a, eps), {"x": X}, res_a, "negated-images",
-            lambda x: max(float(pair.cone_m.membership_residual(-pair.n(x))),
-                          float(pair.cone_n.membership_residual(-pair.m(x)))),
-            10.0 * eps)
-    chk.add(_membership_status(res_b1, eps), {"x": Mem}, res_b1, "negated-m-member",
-            lambda x: float(pair.cone_n.membership_residual(-x)), 10.0 * eps)
-    chk.add(_membership_status(res_b2, eps), {"x": Nem}, res_b2, "negated-n-member",
-            lambda x: float(pair.cone_m.membership_residual(-x)), 10.0 * eps)
+    chk.membership("negated-images", negated_images, {"x": X}, eps)
+    chk.membership("negated-m-member", lambda X: pair.cone_n.membership_residual(-X),
+                   {"x": Mem}, eps)
+    chk.membership("negated-n-member", lambda X: pair.cone_m.membership_residual(-X),
+                   {"x": Nem}, eps)
     return chk.finish("range-negation", n_samples, seed, tol)
 
 
@@ -290,15 +344,9 @@ def check_subadditive(pair, which="m", n_samples=1000, seed=0):
     rng = rng_for(seed, f"subadditive-{which}")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = gaussian_points(rng, n_samples, pair.dim)
-    D = R(X) + R(Y) - R(X + Y)
-    res = cone.membership_residual(D)
-
-    def replay(x, y):
-        return float(cone.membership_residual(R(x) + R(y) - R(x + y)))
-
     chk = _Check()
-    chk.add(_membership_status(res, tol.eps_membership), {"x": X, "y": Y}, res,
-            "defect-membership", replay, 10.0 * tol.eps_membership)
+    chk.membership("defect-membership", _subadditivity(R, cone), {"x": X, "y": Y},
+                   tol.eps_membership)
     return chk.finish(f"subadditive-{which}", n_samples, seed, tol)
 
 
@@ -315,14 +363,9 @@ def check_isotone(pair, which="m", n_samples=1000, seed=0):
     rng = rng_for(seed, f"isotone-{which}")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = X + cone_members(cone, rng, n_samples)
-    res = cone.membership_residual(R(Y) - R(X))
-
-    def replay(x, y):
-        return float(cone.membership_residual(R(y) - R(x)))
-
     chk = _Check()
-    chk.add(_membership_status(res, tol.eps_membership), {"x": X, "y": Y}, res,
-            "image-order", replay, 10.0 * tol.eps_membership)
+    chk.membership("image-order", _isotonicity(R, cone), {"x": X, "y": Y},
+                   tol.eps_membership)
     return chk.finish(f"isotone-{which}", n_samples, seed, tol)
 
 
@@ -340,41 +383,27 @@ def check_subadditivity_defect_sets(pair, n_samples=1000, seed=0):
     rng = rng_for(seed, "subadditivity-defects")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = gaussian_points(rng, n_samples, pair.dim)
-    Dm = pair.m(X) + pair.m(Y) - pair.m(X + Y)
-    Dn = pair.n(X) + pair.n(Y) - pair.n(X + Y)
-    res_a = pair.subadd_cone_m.membership_residual(Dm)
-    res_c = np.abs(Dn + Dm).max(axis=1)
-
     W = cone_members(pair.cone_m, rng, n_samples)
     K = cone_members(pair.cone_m, rng, n_samples)
     V = -(W + K)
     pre = np.maximum(pair.cone_n.membership_residual(V),
                      pair.cone_n.membership_residual(W + V))
     eligible = _membership_status(pre, tol.eps_membership) == _OK
-    realized = pair.m(W) + pair.m(V) - pair.m(W + V)
-    res_b = np.linalg.norm(realized - W, axis=1) / _scales(W)
-    status_b = np.where(eligible, _norm_status(res_b, tol.eps_equal), _BAND)
 
-    def replay_a(x, y):
-        return float(pair.subadd_cone_m.membership_residual(
-            pair.m(x) + pair.m(y) - pair.m(x + y)))
+    def realized(W, V):
+        return np.linalg.norm(_defect(pair.m, W, V) - W, axis=1) / _scales(W)
 
-    def replay_b(w, v):
-        return float(np.linalg.norm(pair.m(w) + pair.m(v) - pair.m(w + v) - w)
-                     / (1.0 + np.linalg.norm(w)))
-
-    def replay_c(x, y):
-        dm = pair.m(x) + pair.m(y) - pair.m(x + y)
-        dn = pair.n(x) + pair.n(y) - pair.n(x + y)
-        return float(np.abs(dn + dm).max())
+    def negation(X, Y):
+        return np.abs(_defect(pair.n, X, Y) + _defect(pair.m, X, Y)).max(axis=1)
 
     chk = _Check()
-    chk.add(_membership_status(res_a, tol.eps_membership), {"x": X, "y": Y}, res_a,
-            "defect-in-range", replay_a, 10.0 * tol.eps_membership)
-    chk.add(status_b, {"x": W, "y": V}, res_b, "member-realized",
-            replay_b, tol.eps_equal)
-    chk.add(_norm_status(res_c, ALGEBRA_ABS_TOL), {"x": X, "y": Y}, res_c,
-            "defect-negation", replay_c, ALGEBRA_ABS_TOL)
+    chk.membership("defect-in-range", _subadditivity(pair.m, pair.subadd_cone_m),
+                   {"x": X, "y": Y}, tol.eps_membership)
+    res_b = realized(W, V)
+    chk.add("member-realized", realized, {"x": W, "y": V},
+            np.where(eligible, _norm_status(res_b, tol.eps_equal), _BAND), res_b,
+            tol.eps_equal)
+    chk.norm("defect-negation", negation, {"x": X, "y": Y}, ALGEBRA_ABS_TOL)
     return chk.finish("subadditivity-defects", n_samples, seed, tol)
 
 
@@ -394,56 +423,31 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
     rng = rng_for(seed, "positive-part-identities")
     X = np.vstack([np.zeros((1, pair.dim)), gaussian_points(rng, n_samples, pair.dim)])
     Y = np.vstack([np.zeros((1, pair.dim)), gaussian_points(rng, n_samples, pair.dim)])
-    A, invA = pair.basis, pair.basis_inv
-    M, N = pair.m(X), pair.n(X)
-    s = _scales(X)
-
-    res_idem = np.linalg.norm(pair.m(M) - M, axis=1) / s
-    res_sub = pair.cone_m.membership_residual(pair.m(X) + pair.m(Y) - pair.m(X + Y))
-    antecedent = (np.linalg.norm(M, axis=1) <= eps * s) & \
-                 (np.linalg.norm(pair.m(-X), axis=1) <= eps * s)
-    separated = np.linalg.norm(X, axis=1) <= 10.0 * eps * s
-    res_sep = np.where(antecedent & ~separated, np.linalg.norm(X, axis=1) / s, 0.0)
     K = cone_members(pair.cone_m, rng, X.shape[0])
-    res_iso = pair.cone_m.membership_residual(pair.m(X + K) - M)
-    res_dec = np.linalg.norm(M + N - X, axis=1) / s
-    res_cross = np.maximum(np.linalg.norm(pair.m(N), axis=1),
-                           np.linalg.norm(pair.n(M), axis=1)) / s
-    CX, CY = X @ invA.T, Y @ invA.T
-    sup_xy = np.maximum(CX, CY) @ A.T
-    sup_images = np.maximum(np.clip(CX, 0.0, None), np.clip(CY, 0.0, None)) @ A.T
-    res_sup = np.linalg.norm(pair.m(sup_xy) - sup_images, axis=1) / \
-        (1.0 + np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)))
+    A, invA = pair.basis, pair.basis_inv
+
+    def separation(X):
+        s = _scales(X)
+        antecedent = (np.linalg.norm(pair.m(X), axis=1) <= eps * s) & \
+                     (np.linalg.norm(pair.m(-X), axis=1) <= eps * s)
+        separated = np.linalg.norm(X, axis=1) <= 10.0 * eps * s
+        return np.where(antecedent & ~separated, np.linalg.norm(X, axis=1) / s, 0.0)
+
+    def sup_distributes(X, Y):
+        CX, CY = X @ invA.T, Y @ invA.T
+        sup_xy = np.maximum(CX, CY) @ A.T
+        sup_images = np.maximum(np.clip(CX, 0.0, None), np.clip(CY, 0.0, None)) @ A.T
+        return np.linalg.norm(pair.m(sup_xy) - sup_images, axis=1) / \
+            (1.0 + np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)))
 
     chk = _Check()
-    chk.add(_norm_status(res_idem, tol.eps_equal), {"x": X}, res_idem, "idempotent",
-            lambda x: float(np.linalg.norm(pair.m(pair.m(x)) - pair.m(x))
-                            / (1.0 + np.linalg.norm(x))), tol.eps_equal)
-    chk.add(_membership_status(res_sub, eps), {"x": X, "y": Y}, res_sub, "subadditive",
-            lambda x, y: float(pair.cone_m.membership_residual(
-                pair.m(x) + pair.m(y) - pair.m(x + y))), 10.0 * eps)
-    chk.add(_norm_status(res_sep, 10.0 * eps), {"x": X}, res_sep, "pointed-separation",
-            lambda x: float(np.linalg.norm(x) / (1.0 + np.linalg.norm(x))), 10.0 * eps)
-    chk.add(_membership_status(res_iso, eps), {"x": X, "y": X + K}, res_iso, "isotone",
-            lambda x, y: float(pair.cone_m.membership_residual(pair.m(y) - pair.m(x))),
-            10.0 * eps)
-    chk.add(_norm_status(res_dec, tol.eps_equal), {"x": X}, res_dec, "decomposition",
-            lambda x: float(np.linalg.norm(pair.m(x) + pair.n(x) - x)
-                            / (1.0 + np.linalg.norm(x))), tol.eps_equal)
-    chk.add(_norm_status(res_cross, tol.eps_equal), {"x": X}, res_cross, "cross-null",
-            lambda x: float(max(np.linalg.norm(pair.m(pair.n(x))),
-                                np.linalg.norm(pair.n(pair.m(x))))
-                            / (1.0 + np.linalg.norm(x))), tol.eps_equal)
-
-    def replay_sup(x, y):
-        cx, cy = x @ invA.T, y @ invA.T
-        lhs = pair.m(np.maximum(cx, cy) @ A.T)
-        rhs = np.maximum(np.clip(cx, 0.0, None), np.clip(cy, 0.0, None)) @ A.T
-        return float(np.linalg.norm(lhs - rhs)
-                     / (1.0 + max(np.linalg.norm(x), np.linalg.norm(y))))
-
-    chk.add(_norm_status(res_sup, tol.eps_equal), {"x": X, "y": Y}, res_sup,
-            "sup-distributes", replay_sup, tol.eps_equal)
+    chk.norm("idempotent", _idempotence(pair.m), {"x": X}, tol.eps_equal)
+    chk.membership("subadditive", _subadditivity(pair.m, pair.cone_m), {"x": X, "y": Y}, eps)
+    chk.norm("pointed-separation", separation, {"x": X}, 10.0 * eps)
+    chk.membership("isotone", _isotonicity(pair.m, pair.cone_m), {"x": X, "y": X + K}, eps)
+    chk.norm("decomposition", _decomposition(pair), {"x": X}, tol.eps_equal)
+    chk.norm("cross-null", _cross_null(pair), {"x": X}, tol.eps_equal)
+    chk.norm("sup-distributes", sup_distributes, {"x": X, "y": Y}, tol.eps_equal)
     return chk.finish("positive-part-identities", X.shape[0], seed, tol)
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from conelab import (Lorentz, Orthant, RetractionPair, Simplicial, lattice_pair,
                      minkowski_pair, moreau_pair, sample_simplicial)
-from conelab.properties import (CATALOGUE, catalogue_for, check_idempotence,
+from conelab.cones import DEFAULT_TOL
+from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempotence,
                                 check_isotone, check_mutual_polarity,
                                 check_range_kernel, check_range_negation,
                                 check_ranges, check_riesz_identities,
@@ -11,6 +12,8 @@ from conelab.properties import (CATALOGUE, catalogue_for, check_idempotence,
                                 run_catalogue)
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
+# Non-orthogonal simplicial cone whose Moreau pair runs through FaceTable.
+SKEW = Simplicial(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
 
 
 def test_polarity_passes_lattice_orthant():
@@ -188,3 +191,76 @@ def test_report_json_shape():
     assert set(d) == {"property", "verdict", "samples", "seed", "witnesses", "tolerances"}
     assert d["seed"] == 4 and d["samples"] == 50
     assert set(d["tolerances"]) == {"membership", "equal", "converge"}
+
+
+def _reference_shrink(replay, arrays, threshold):
+    """One witness at a time: 20 single-vector replays, then one more."""
+    lo, hi = 0.0, 1.0
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if replay(*(mid * a for a in arrays)) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    scaled = [hi * a for a in arrays]
+    return scaled, replay(*scaled)
+
+
+def _scalar_replays(pair):
+    """Single-vector residuals of the checks that fail on Moreau pairs of
+    non-lattice cones, keyed by (property, check label)."""
+    m, n, cm, cn = pair.m, pair.n, pair.cone_m, pair.cone_n
+
+    def subadd(R, cone):
+        return lambda x, y: float(cone.membership_residual(R(x) + R(y) - R(x + y)))
+
+    return {
+        ("subadditive-m", "defect-membership"): subadd(m, pair.subadd_cone_m),
+        ("subadditive-n", "defect-membership"): subadd(n, pair.subadd_cone_n),
+        ("subadditivity-defects", "defect-in-range"): subadd(m, pair.subadd_cone_m),
+        ("isotone-m", "image-order"): lambda x, y: float(cm.membership_residual(m(y) - m(x))),
+        ("isotone-n", "image-order"): lambda x, y: float(cn.membership_residual(n(y) - n(x))),
+        ("range-negation", "negated-images"):
+            lambda x: max(float(cm.membership_residual(-n(x))),
+                          float(cn.membership_residual(-m(x)))),
+        ("range-negation", "negated-m-member"): lambda x: float(cn.membership_residual(-x)),
+        ("range-negation", "negated-n-member"): lambda x: float(cm.membership_residual(-x)),
+    }
+
+
+@pytest.mark.parametrize("cone", [Lorentz(d) for d in range(3, 9)] + [SKEW],
+                         ids=[f"lorentz-{d}" for d in range(3, 9)] + ["skew-simplicial"])
+def test_batched_shrink_matches_one_at_a_time(cone):
+    pair = moreau_pair(cone)
+    replays = _scalar_replays(pair)
+    threshold = 10.0 * pair.tol.eps_membership
+    shrunk = 0
+    for rep in run_catalogue(pair, 300, seed=4):
+        for w in rep.witnesses:
+            names = [k for k in ("x", "y") if k in w]
+            arrays = [np.array(w[k]) for k in names]
+            scaled, res = _reference_shrink(replays[rep.property_id, w["check"]],
+                                            arrays, threshold)
+            assert [w["shrunk"][k] for k in names] == [a.tolist() for a in scaled]
+            assert w["shrunk"]["residual"] == res
+            shrunk += 1
+    assert shrunk >= 40
+
+
+def test_witness_order_across_labels_and_arities():
+    # Rows of equal norm and repeated rows: the order is by the norm of the
+    # first input, then lexicographic over all inputs, then insertion order.
+    rng = np.random.default_rng(5)
+    base = rng.standard_normal((6, 3))
+    X = np.vstack([base, base[::-1], base[:, ::-1], np.zeros((2, 3))])
+    Y = rng.standard_normal(X.shape)
+    chk = _Check()
+    chk.norm("one", lambda X: 0.0 * X[:, 0] + 1.0, {"x": X}, 0.5)
+    chk.membership("two", lambda X, Y: 0.0 * X[:, 0] + 1.0, {"x": X, "y": Y}, 0.01)
+    got = [(w["check"], w["x"], w.get("y")) for w in chk.finish("p", 1, 0, DEFAULT_TOL).witnesses]
+
+    candidates = [("one", x, None) for x in X] + [("two", x, y) for x, y in zip(X, Y)]
+    expected = sorted(candidates, key=lambda c: (
+        float(np.linalg.norm(c[1])),
+        tuple(np.concatenate([c[1]] + ([] if c[2] is None else [c[2]])).tolist())))[:8]
+    assert got == [(c, x.tolist(), None if y is None else y.tolist()) for c, x, y in expected]
