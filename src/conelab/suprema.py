@@ -260,23 +260,27 @@ def finite_sigma_continuity_check(pair, chain_length=8, seed=0, n_chains=64):
     if chain_length < 1:
         raise ValueError("chain_length must be >= 1")
     tol = pair.tol
-    rng = rng_for(seed, "monotone-sup-commutes")
-    A, invA = pair.basis, pair.basis_inv
+    starts, residuals = _chain_sup_residuals(pair, rng_for(seed, "monotone-sup-commutes"),
+                                             n_chains, chain_length)
     chk = _Check()
-    starts = np.zeros((n_chains, pair.dim))
-    residuals = np.zeros(n_chains)
-    for c in range(n_chains):
-        a = gaussian_points(rng, 1, pair.dim)[0]
-        starts[c] = a
-        chain = [a]
-        for _ in range(chain_length - 1):
-            chain.append(chain[-1] + cone_members(pair.cone_m, rng, 1)[0])
-        coords = np.array([invA @ x for x in chain])
-        sup_chain = A @ coords.max(axis=0)
-        sup_images = A @ np.clip(coords, 0.0, None).max(axis=0)
-        scale = 1.0 + max(float(np.linalg.norm(x)) for x in chain)
-        residuals[c] = float(np.linalg.norm(pair.m(sup_chain) - sup_images)) / scale
-
-    chk.add(_norm_status(residuals, tol.eps_equal), {"x": starts}, residuals,
-            "chain-sup", None, tol.eps_equal)
+    chk.add("chain-sup", None, {"x": starts}, _norm_status(residuals, tol.eps_equal),
+            residuals, tol.eps_equal)
     return chk.finish("monotone-sup-commutes", n_chains, seed, tol)
+
+
+def _chain_sup_residuals(pair, rng, n_chains, chain_length):
+    """Start point and residual |m(sup chain) - sup m(chain)| / (1 + max |x|)
+    of each of ``n_chains`` random increasing chains of a lattice pair."""
+    A, invA = pair.basis, pair.basis_inv
+    # One draw, in the order the chains are built: each chain's Gaussian
+    # start, then its chain_length - 1 increments, random members of the
+    # m-range cone(A) with coefficients |z| / sqrt(dim) as ``cone_members``
+    # makes them.
+    Z = gaussian_points(rng, n_chains * chain_length, pair.dim)
+    Z = Z.reshape(n_chains, chain_length, pair.dim)
+    chains = np.cumsum(np.concatenate([Z[:, :1], np.abs(Z[:, 1:]) @ A.T], axis=1), axis=1)
+    coords = chains @ invA.T
+    sup_chain = coords.max(axis=1) @ A.T
+    sup_images = np.clip(coords, 0.0, None).max(axis=1) @ A.T
+    scale = 1.0 + np.linalg.norm(chains, axis=2).max(axis=1)
+    return chains[:, 0], np.linalg.norm(pair.m(sup_chain) - sup_images, axis=1) / scale

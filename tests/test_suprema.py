@@ -6,6 +6,7 @@ from conelab import (Lorentz, Orthant, Simplicial, closed_form_sup,
                      iterative_sup, lattice_pair, leq, lex_demo, lex_leq, lex_lt,
                      moreau_pair, sample_simplicial)
 from conelab.sampling import cone_members, gaussian_points, rng_for
+from conelab.suprema import _chain_sup_residuals
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -197,6 +198,39 @@ def test_finite_sigma_checker():
     assert rep1.verdict == "pass"
     with pytest.raises(ValueError):
         finite_sigma_continuity_check(moreau_pair(Lorentz(3)), 4, 0)
+
+
+def _chain_reference(pair, rng, n_chains, chain_length):
+    """The chain check built one chain and one sampled row at a time."""
+    A, invA = pair.basis, pair.basis_inv
+    starts = np.zeros((n_chains, pair.dim))
+    residuals = np.zeros(n_chains)
+    for c in range(n_chains):
+        chain = [gaussian_points(rng, 1, pair.dim)[0]]
+        starts[c] = chain[0]
+        for _ in range(chain_length - 1):
+            chain.append(chain[-1] + cone_members(pair.cone_m, rng, 1)[0])
+        coords = np.array([invA @ x for x in chain])
+        sup_chain = A @ coords.max(axis=0)
+        sup_images = A @ np.clip(coords, 0.0, None).max(axis=0)
+        scale = 1.0 + max(float(np.linalg.norm(x)) for x in chain)
+        residuals[c] = float(np.linalg.norm(pair.m(sup_chain) - sup_images)) / scale
+    return starts, residuals
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_chain_residuals_match_per_row_reference(dim):
+    pairs = (lattice_pair(Orthant(dim)),
+             lattice_pair(sample_simplicial(dim, 40 + dim, cond_cap=20.0)))
+    for pair in pairs:
+        for chain_length in (1, 8):
+            starts, res = _chain_sup_residuals(pair, rng_for(dim, "chains"), 50, chain_length)
+            ref_starts, ref_res = _chain_reference(pair, rng_for(dim, "chains"), 50,
+                                                   chain_length)
+            np.testing.assert_array_equal(starts, ref_starts)
+            # Both residuals are rounding noise relative to 1 + max |x|; the
+            # batched matmuls may round differently from the per-row ones.
+            np.testing.assert_allclose(res, ref_res, rtol=0.0, atol=1e-15)
 
 
 def test_trace_json_and_csv():
