@@ -4,7 +4,9 @@ Each case runs the CLI in process and compares the report with the file of
 the same name under ``tests/golden/``.  The failing Moreau cases cover the
 ``witnesses`` and ``shrunk`` fields: on the Lorentz cones (``--pair moreau``
 is dimension 3) five checks fail, and the non-orthogonal simplicial cone
-runs its maps through ``FaceTable``.
+runs its maps through ``FaceTable``.  The ``sup`` cases cover the JSON and
+CSV traces of a converging lattice pair and of the exploratory Moreau mode;
+``batch`` and the remaining demos cover the other commands.
 
 Regenerate the files (only when a change of report bytes is intended and
 recorded) with::
@@ -35,6 +37,12 @@ _PAIRS = {
                             "interior_point": [1.0, 2.0, 0.5, 1.0]},
 }
 
+_SUP_PAIRS = {
+    "simplicial-lattice": _PAIRS["simplicial-lattice"],
+    "lorentz-3-moreau": {"family": "moreau", "cone": {"type": "lorentz", "dim": 3}},
+}
+_SUP_U, _SUP_V = [1.35, -0.73, 0.51], [0.16, 0.28, -0.1]
+
 
 def _cases():
     """(file name, CLI arguments, verify config or None) for every golden file."""
@@ -49,6 +57,16 @@ def _cases():
             cases.append((f"verify-{name}-seed{seed}.json", ["verify"], config))
         cases.append((f"demo-moreau-subadd-seed{seed}.json",
                       ["demo", "moreau-subadd"] + common, None))
+        cases.append((f"demo-minkowski-seed{seed}.json", ["demo", "minkowski"] + common, None))
+        config = {"command": "batch", "samples": SAMPLES, "seed": seed,
+                  "pairs": [_PAIRS["simplicial-lattice"], _SUP_PAIRS["lorentz-3-moreau"],
+                            _PAIRS["orthant-4-minkowski"]]}
+        cases.append((f"batch-seed{seed}.json", ["batch"], config))
+    for name, pair in _SUP_PAIRS.items():
+        config = {"command": "sup", "pair": pair, "u": _SUP_U, "v": _SUP_V}
+        cases.append((f"sup-{name}.json", ["sup"], config))
+        cases.append((f"sup-{name}.csv", ["sup", "--format", "csv"], config))
+    cases.append(("demo-lex.json", ["demo", "lex"], None))
     return cases
 
 
@@ -58,7 +76,7 @@ def _run(args, config, workdir):
         path = workdir / "config.json"
         path.write_text(json.dumps(config))
         args = args + ["--config", str(path)]
-    out = workdir / "report.json"
+    out = workdir / "report"
     code = main(args + ["--out", str(out)])
     return code, out.read_bytes()
 
