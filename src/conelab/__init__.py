@@ -20,9 +20,8 @@ from .properties import (CATALOGUE, PropertyReport, catalogue_for,
                          check_range_kernel, check_range_negation, check_ranges,
                          check_riesz_identities, check_subadditive,
                          check_subadditivity_defect_sets, run_catalogue)
-from .retractions import (RetractionPair, ShiftedRetraction, lattice_pair,
-                          minkowski_pair, moreau_pair, pair_from_json,
-                          project_cone, shifted)
+from .retractions import (RetractionPair, lattice_pair, minkowski_pair,
+                          moreau_pair, pair_from_json, project_cone)
 from .suprema import (SupTrace, closed_form_sup, default_upper_bound,
                       finite_sigma_continuity_check, iterative_sup, lex_demo,
                       lex_leq, lex_lt)

@@ -10,22 +10,19 @@ batch   run verify over a list of pair descriptors
 Exit codes: 0 all checks pass / converged; 1 a property failed or the
 iteration did not certify; 2 usage or configuration error.  Reports are
 byte-identical for identical (config, seed): they carry no timestamps and
-no machine-dependent data.  The optional CONELAB_THREADS variable caps
-orchestration parallelism; evaluation is vectorized and single-process, so
-the cap never changes report bytes.
+no machine-dependent data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import properties
-from .cones import ToleranceConfig, as_vector, cone_from_json, is_generating
+from .cones import ToleranceConfig, _as_int, as_vector, cone_from_json, is_generating
 from .properties import PASS, catalogue_for, run_catalogue
 from .retractions import moreau_pair, pair_from_json
 from .suprema import iterative_sup, lex_demo
@@ -40,19 +37,6 @@ _DEFAULT_PAIRS = {
 }
 
 _DEMO_NAMES = ("lex", "minkowski", "moreau-subadd")
-
-
-def _threads_cap():
-    raw = os.environ.get("CONELAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CONELAB_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError("CONELAB_THREADS must be >= 1")
-    return cap
 
 
 def _load_config(path, allowed, command):
@@ -78,6 +62,24 @@ def _tolerances(config, args):
     if "tolerances" in config:
         return ToleranceConfig.from_json(config["tolerances"])
     return ToleranceConfig()
+
+
+def _pair(config, args, tol):
+    """The pair of the config, else the built-in pair named by --pair."""
+    descriptor = config.get("pair")
+    if descriptor is None:
+        if args.pair is None:
+            raise ValueError(f"{args.command} needs --config with a 'pair' entry "
+                             "or --pair FAMILY")
+        descriptor = _DEFAULT_PAIRS[args.pair]
+    return pair_from_json(descriptor, tol=tol)
+
+
+def _samples_seed(config, args):
+    """Sample count (>= 1) and seed (>= 0); the command line wins over the config."""
+    samples = args.samples if args.samples is not None else config.get("samples", 1000)
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    return _as_int(samples, "samples", 1), _as_int(seed, "seed", 0)
 
 
 def _dump_json(obj):
@@ -114,16 +116,8 @@ def cmd_verify(args):
     config = _load_config(args.config, {"command", "pair", "samples", "seed",
                                         "tolerances", "output", "format"}, "verify")
     tol = _tolerances(config, args)
-    descriptor = config.get("pair")
-    if descriptor is None:
-        if args.pair is None:
-            raise ValueError("verify needs --config with a 'pair' entry or --pair FAMILY")
-        descriptor = _DEFAULT_PAIRS.get(args.pair)
-        if descriptor is None:
-            raise ValueError(f"unknown pair family: {args.pair!r}")
-    pair = pair_from_json(descriptor, tol=tol)
-    samples = args.samples if args.samples is not None else int(config.get("samples", 1000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    pair = _pair(config, args, tol)
+    samples, seed = _samples_seed(config, args)
     fmt = args.format or config.get("format", "json")
     if fmt == "csv":
         raise ValueError("csv output applies to iterate traces only; use json or human")
@@ -149,19 +143,13 @@ def cmd_sup(args):
     config = _load_config(args.config, {"command", "pair", "u", "v", "max_iter",
                                         "seed", "tolerances", "output", "format"}, "sup")
     tol = _tolerances(config, args)
-    descriptor = config.get("pair")
-    if descriptor is None:
-        if args.pair is None:
-            raise ValueError("sup needs --config with a 'pair' entry or --pair FAMILY")
-        descriptor = _DEFAULT_PAIRS.get(args.pair)
-        if descriptor is None:
-            raise ValueError(f"unknown pair family: {args.pair!r}")
-    pair = pair_from_json(descriptor, tol=tol)
+    pair = _pair(config, args, tol)
     if "u" not in config or "v" not in config:
         raise ValueError("sup config must provide vectors 'u' and 'v'")
     u = as_vector(config["u"], pair.dim)
     v = as_vector(config["v"], pair.dim)
-    max_iter = args.max_iter if args.max_iter is not None else int(config.get("max_iter", 100))
+    max_iter = _as_int(args.max_iter if args.max_iter is not None
+                       else config.get("max_iter", 100), "max_iter", 1)
 
     trace = iterative_sup(pair, u, v, max_iter=max_iter, tol=tol.eps_converge)
     fmt = args.format or config.get("format", "json")
@@ -194,7 +182,7 @@ def _demo_minkowski(samples, seed, tol, descriptor=None):
     pair = pair_from_json(descriptor, tol=tol)
     reports = [properties.check_mutual_polarity(pair, samples, seed),
                properties.check_subadditive(pair, "m", samples, seed)]
-    generating = is_generating(pair.cone_m, tol)
+    generating = is_generating(pair.cone_m)
 
     # Empirical shape of the n-range: defect coefficients of the order-unit
     # functional, and convexity probes of {x : phi(x) = 0}.
@@ -253,8 +241,7 @@ def cmd_demo(args):
     if name not in _DEMO_NAMES:
         raise ValueError(f"unknown demo: {name!r} (choose from {', '.join(_DEMO_NAMES)})")
     tol = _tolerances(config, args)
-    samples = args.samples if args.samples is not None else int(config.get("samples", 1000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    samples, seed = _samples_seed(config, args)
     if name == "lex":
         body, ok = _demo_lex(samples, seed, tol)
     elif name == "minkowski":
@@ -281,8 +268,7 @@ def cmd_batch(args):
     if "pairs" not in config or not isinstance(config["pairs"], list) or not config["pairs"]:
         raise ValueError("batch config must provide a non-empty 'pairs' list")
     tol = _tolerances(config, args)
-    samples = args.samples if args.samples is not None else int(config.get("samples", 1000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    samples, seed = _samples_seed(config, args)
     entries = []
     all_pass = True
     for descriptor in config["pairs"]:
@@ -351,7 +337,6 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        _threads_cap()
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ import numpy as np
 from . import oracle
 
 MAX_DENSE_DIM = 16
-MAX_DD_DIM = 10
 _SINGULAR_RTOL = 1e-12
 
 
@@ -69,6 +68,15 @@ def as_vector(x, dim=None):
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
     return v
+
+
+def _as_int(x, name, minimum=None):
+    """Validate an integer read from JSON; bools, floats and null are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if minimum is not None and x < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {x}")
+    return int(x)
 
 
 def _as_batch(x, dim):
@@ -314,7 +322,7 @@ def polar(cone):
     raise ValueError(f"unsupported cone: {cone!r}")
 
 
-def is_generating(cone, tol=DEFAULT_TOL):
+def is_generating(cone):
     """True iff K - K spans the whole space (numerical rank test)."""
     if isinstance(cone, (Orthant, Simplicial, Lorentz)):
         return True
@@ -405,14 +413,15 @@ def cone_from_json(obj):
     if unknown:
         raise ValueError(f"unknown keys for cone type {kind}: {sorted(unknown)}")
     if kind == "orthant":
-        return Orthant(int(obj["dim"]))
+        return Orthant(_as_int(obj.get("dim"), "cone dim"))
     if kind == "simplicial":
         cols = np.asarray(obj["basis"], dtype=float)
         if cols.ndim != 2:
             raise ValueError("simplicial basis must be a list of generator columns")
         return Simplicial(cols.T)
     if kind == "lorentz":
-        return Lorentz(int(obj["dim"]), negated=bool(obj.get("negated", False)))
+        return Lorentz(_as_int(obj.get("dim"), "cone dim"),
+                       negated=bool(obj.get("negated", False)))
     if kind == "generators":
         return PolyhedralGenerators(obj["vectors"])
     return PolyhedralHalfspaces(obj["normals"])

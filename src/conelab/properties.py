@@ -328,19 +328,19 @@ def check_range_negation(pair, n_samples=1000, seed=0):
     return chk.finish("range-negation", n_samples, seed, tol)
 
 
-def _subadd_data(pair, which):
-    if which == "m":
-        return pair.m, pair.subadd_cone_m
-    if which == "n":
-        return pair.n, pair.subadd_cone_n
-    raise ValueError("which must be 'm' or 'n'")
+def _side(pair, which, order):
+    """Map ``which`` ("m" or "n") of the pair and its cone ``<order>_<which>``:
+    order "cone" is the range, "subadd_cone" the order subadditivity uses."""
+    if which not in ("m", "n"):
+        raise ValueError("which must be 'm' or 'n'")
+    return getattr(pair, which), getattr(pair, f"{order}_{which}")
 
 
 def check_subadditive(pair, which="m", n_samples=1000, seed=0):
     """R(x+y) <= R(x) + R(y) in the range order: the defect
     R(x) + R(y) - R(x+y) must be a member of the range cone."""
     tol = pair.tol
-    R, cone = _subadd_data(pair, which)
+    R, cone = _side(pair, which, "subadd_cone")
     rng = rng_for(seed, f"subadditive-{which}")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = gaussian_points(rng, n_samples, pair.dim)
@@ -354,12 +354,7 @@ def check_isotone(pair, which="m", n_samples=1000, seed=0):
     """x <= y implies R(x) <= R(y); comparable pairs are built as
     y = x + k with k a random member of the order cone."""
     tol = pair.tol
-    if which == "m":
-        R, cone = pair.m, pair.cone_m
-    elif which == "n":
-        R, cone = pair.n, pair.cone_n
-    else:
-        raise ValueError("which must be 'm' or 'n'")
+    R, cone = _side(pair, which, "cone")
     rng = rng_for(seed, f"isotone-{which}")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = X + cone_members(cone, rng, n_samples)

@@ -66,7 +66,7 @@ def _projector(cone):
     raise ValueError(f"unsupported cone: {cone!r}")
 
 
-def project_cone(cone, x, tol=DEFAULT_TOL):
+def project_cone(cone, x):
     """Metric projection of x onto the cone.
 
     The result p satisfies p in K, x - p in the polar of K, and
@@ -82,12 +82,15 @@ class RetractionPair:
     """A pair of maps (m, n) with m + n = I and vanishing cross-compositions.
 
     ``cone_m`` and ``cone_n`` describe the ranges; both maps accept a
-    vector or an (n, dim) batch.  Instances are immutable; evaluation is
-    pure and thread-safe.
+    vector or an (n, dim) batch.  Lattice pairs carry the simplicial
+    ``basis`` and ``basis_inv`` of their coordinates, minkowski pairs the
+    order-unit functional ``phi``; both are None otherwise.  Instances are
+    immutable; evaluation is pure and thread-safe.
     """
 
     def __init__(self, family, cone_m, cone_n, m_map, n_map, tol=DEFAULT_TOL,
-                 descriptor=None, subadd_cone_m=None, subadd_cone_n=None):
+                 descriptor=None, subadd_cone_m=None, subadd_cone_n=None, *,
+                 basis=None, basis_inv=None, phi=None):
         self.family = family
         self.cone_m = cone_m
         self.cone_n = cone_n
@@ -97,6 +100,9 @@ class RetractionPair:
         self._descriptor = descriptor or {"family": family}
         self.subadd_cone_m = subadd_cone_m if subadd_cone_m is not None else cone_m
         self.subadd_cone_n = subadd_cone_n if subadd_cone_n is not None else cone_n
+        self.basis = basis
+        self.basis_inv = basis_inv
+        self.phi = phi
 
     @property
     def dim(self):
@@ -143,11 +149,9 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
     def n_map(X):
         return -(np.clip(-(X @ invA.T), 0.0, None) @ A.T)
 
-    pair = RetractionPair("lattice", cone_m, negate(simp), m_map, n_map, tol=tol,
-                          descriptor={"family": "lattice", "cone": cone_to_json(cone)})
-    pair.basis = simp.basis
-    pair.basis_inv = simp.basis_inv
-    return pair
+    return RetractionPair("lattice", cone_m, negate(simp), m_map, n_map, tol=tol,
+                          descriptor={"family": "lattice", "cone": cone_to_json(cone)},
+                          basis=A, basis_inv=invA)
 
 
 def moreau_pair(cone, tol=DEFAULT_TOL):
@@ -185,41 +189,18 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
         return float(vals[0]) if single else vals
 
     def m_map(X):
-        vals = ((X @ N.T) / den).max(axis=1)
-        return vals[:, None] * yv
+        return phi(X)[:, None] * yv
 
     def n_map(X):
         return X - m_map(X)
 
     line = PolyhedralGenerators(np.array([yv, -yv]))
     ray = PolyhedralGenerators(np.array([yv]))
-    pair = RetractionPair(
+    return RetractionPair(
         "minkowski", line, PolyhedralHalfspaces(-N), m_map, n_map, tol=tol,
         descriptor={"family": "minkowski", "cone": cone_to_json(cone),
                     "interior_point": yv.tolist()},
-        subadd_cone_m=ray)
-    pair.anchor = yv
-    pair.phi = phi
-    return pair
-
-
-class ShiftedRetraction:
-    """The map x -> anchor + m(x - anchor); fixes every x with
-    x - anchor in the range cone of m."""
-
-    def __init__(self, base, anchor):
-        self.base = base
-        self.anchor = as_vector(anchor, base.dim)
-
-    def apply(self, x):
-        X, single = _as_batch(x, self.base.dim)
-        Y = self.anchor + self.base.m(X - self.anchor)
-        return Y[0] if single else Y
-
-
-def shifted(base, anchor):
-    """Anchor a retraction pair's m-map at a point."""
-    return ShiftedRetraction(base, anchor)
+        subadd_cone_m=ray, phi=phi)
 
 
 _PAIR_KEYS = {

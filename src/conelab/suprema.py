@@ -22,7 +22,6 @@ import numpy as np
 
 from .cones import Orthant, Simplicial, as_vector, leq
 from .properties import _Check, _norm_status
-from .retractions import shifted
 from .sampling import cone_members, gaussian_points, rng_for
 
 CONVERGED, MAX_ITER, DIVERGED = "converged", "max_iter", "diverged"
@@ -145,11 +144,11 @@ def iterative_sup(pair, u, v, max_iter=100, tol=None):
     mem_tol = pair.tol
     fail_eps = 10.0 * mem_tol.eps_membership
     cone = pair.cone_m
-    m_u = shifted(pair, u)
-    m_v = shifted(pair, v)
+    m_u = lambda x: u + pair.m(x - u)  # noqa: E731
+    m_v = lambda x: v + pair.m(x - v)  # noqa: E731
     w = _scaffold_bound(pair, u, v)
 
-    u_its = [m_u.apply(v)]
+    u_its = [m_u(v)]
     v_its = []
     gaps = []
     status = MAX_ITER
@@ -162,8 +161,8 @@ def iterative_sup(pair, u, v, max_iter=100, tol=None):
     else:
         for _ in range(max_iter):
             u_k = u_its[-1]
-            v_k = m_v.apply(u_k)
-            u_next = m_u.apply(v_k)
+            v_k = m_v(u_k)
+            u_next = m_u(v_k)
             v_its.append(v_k)
             g_uv = float(np.linalg.norm(u_next - v_k))
             g_uu = float(np.linalg.norm(u_next - u_k))
@@ -189,8 +188,8 @@ def iterative_sup(pair, u, v, max_iter=100, tol=None):
         trace.result_is_upper_bound = bool(
             leq(cone, u, result, mem_tol) and leq(cone, v, result, mem_tol))
         trace.result_below_scaffold = bool(leq(cone, result, w, mem_tol))
-        fp = max(float(np.linalg.norm(m_u.apply(result) - result)),
-                 float(np.linalg.norm(m_v.apply(result) - result)))
+        fp = max(float(np.linalg.norm(m_u(result) - result)),
+                 float(np.linalg.norm(m_v(result) - result)))
         trace.fixed_point_residual = fp / (1.0 + float(np.linalg.norm(result)))
     return trace
 

@@ -195,10 +195,39 @@ def test_reports_byte_identical_across_thread_caps(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_bad_threads_cap_exit_two():
-    result = run_cli(["verify", "--pair", "lattice", "--samples", "50"],
-                     env_extra={"CONELAB_THREADS": "zero"})
-    assert result.returncode == 2
+@pytest.mark.parametrize("command", ["verify", "demo", "batch"])
+@pytest.mark.parametrize("key,value", [
+    ("samples", 0), ("samples", -5), ("samples", 2.5), ("samples", None), ("samples", "10"),
+    ("samples", True), ("seed", -1), ("seed", 1.5), ("seed", None),
+])
+def test_bad_samples_or_seed_exit_two(tmp_path, capsys, command, key, value):
+    config = {"samples": 20, key: value}
+    if command == "verify":
+        config["pair"] = {"family": "lattice", "cone": {"type": "orthant", "dim": 2}}
+    elif command == "demo":
+        config["name"] = "lex"
+    else:
+        config["pairs"] = [{"family": "lattice", "cone": {"type": "orthant", "dim": 2}}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"conelab: error: {key} must be") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--samples", "-3"),
+                                        ("--seed", "-1")])
+def test_bad_samples_or_seed_flag_exit_two(capsys, flag, value):
+    assert main(["verify", "--pair", "lattice", flag, value]) == 2
+    assert capsys.readouterr().err.startswith("conelab: error: ")
+
+
+def test_non_integer_cone_dim_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "lattice",
+                                        "cone": {"type": "orthant", "dim": None}}}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "conelab: error: cone dim must be an integer, got None\n"
 
 
 def test_console_script_usage_error():

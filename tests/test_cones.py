@@ -188,6 +188,13 @@ def test_cone_json_rejects_unknown():
         cone_from_json([1, 2, 3])
 
 
+@pytest.mark.parametrize("kind", ["orthant", "lorentz"])
+@pytest.mark.parametrize("dim", [None, 3.7, 3.0, "3", True])
+def test_cone_json_rejects_non_integer_dim(kind, dim):
+    with pytest.raises(ValueError, match="cone dim must be an integer"):
+        cone_from_json({"type": kind, "dim": dim})
+
+
 def test_dimension_caps():
     with pytest.raises(ValueError):
         Orthant(17)

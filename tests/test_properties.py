@@ -73,6 +73,8 @@ def test_subadditive_moreau_lorentz_fails_with_witness():
 def test_subadditive_which_validation():
     with pytest.raises(ValueError):
         check_subadditive(lattice_pair(Orthant(2)), "q", 10, 0)
+    with pytest.raises(ValueError):
+        check_isotone(lattice_pair(Orthant(2)), "x", 10, 0)
 
 
 def test_isotone_lattice_passes():

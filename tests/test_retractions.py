@@ -4,7 +4,7 @@ import pytest
 from conelab import (Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
                      Simplicial, contains, is_generating, lattice_pair,
                      minkowski_pair, moreau_pair, pair_from_json, project_cone,
-                     sample_simplicial, shifted)
+                     sample_simplicial)
 from conelab.sampling import gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -143,21 +143,6 @@ def test_minkowski_interior_required():
         minkowski_pair(Orthant(2), [1.0, -1.0])
     with pytest.raises(ValueError):
         minkowski_pair(Lorentz(3), [0.0, 0.0, 1.0])  # no halfspace form
-
-
-def test_shifted_retraction():
-    pair = lattice_pair(Orthant(2))
-    sr = shifted(pair, [1.0, 0.0])
-    np.testing.assert_allclose(sr.apply([0.0, 1.0]), [1.0, 1.0])
-    np.testing.assert_allclose(sr.apply([1.0, 0.0]), [1.0, 0.0])
-    # fixes points above the anchor
-    w = np.array([1.5, 2.0])
-    np.testing.assert_allclose(sr.apply(w), w)
-    # image dominates the anchor
-    rng = rng_for(5, "shifted")
-    X = gaussian_points(rng, 200, 2)
-    out = sr.apply(X)
-    assert np.all(pair.cone_m.membership_residual(out - np.array([1.0, 0.0])) <= 1e-12)
 
 
 def test_pair_descriptor_round_trip():
