@@ -1,16 +1,10 @@
 """Command-line front end: JSON configs in, deterministic reports out.
 
-Commands
---------
-verify  run the property catalogue applicable to a retraction pair
-sup     run the supremum iteration for two vectors
-demo    lex | minkowski | moreau-subadd
-batch   run verify over a list of pair descriptors
-
-Exit codes: 0 all checks pass / converged; 1 a property failed or the
-iteration did not certify; 2 usage or configuration error.  Reports are
-byte-identical for identical (config, seed): they carry no timestamps and
-no machine-dependent data.
+``_COMMANDS`` declares each command's config keys, flags and report
+formats.  Exit codes: 0 all checks pass / converged; 1 a property failed
+or the iteration did not certify; 2 usage or configuration error.
+Reports are byte-identical for identical (config, seed): they carry no
+timestamps and no machine-dependent data.
 """
 
 from __future__ import annotations
@@ -18,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,13 +35,15 @@ _DEFAULT_PAIRS = {
 _DEMO_NAMES = ("lex", "minkowski", "moreau-subadd")
 
 
-def _load_config(path, allowed, command):
+def _load_config(path, command):
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
+    spec = _COMMANDS[command]
+    allowed = _COMMON_KEYS | spec.keys | ({"samples", "seed"} if spec.samples else set())
     unknown = set(obj) - allowed
     if unknown:
         raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -56,9 +54,9 @@ def _load_config(path, allowed, command):
 
 
 def _tolerances(config, args):
-    if getattr(args, "tol", None) is not None:
-        eps = float(args.tol)
-        return ToleranceConfig(eps_membership=eps, eps_equal=eps, eps_converge=eps)
+    if args.tol is not None:
+        return ToleranceConfig(eps_membership=args.tol, eps_equal=args.tol,
+                               eps_converge=args.tol)
     if "tolerances" in config:
         return ToleranceConfig.from_json(config["tolerances"])
     return ToleranceConfig()
@@ -86,14 +84,6 @@ def _dump_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _write_output(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 _MARKS = {"pass": "✓", "fail": "✗", "inconclusive": "?"}
 
 
@@ -112,37 +102,28 @@ def _human_verify(report):
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args):
-    config = _load_config(args.config, {"command", "pair", "samples", "seed",
-                                        "tolerances", "output", "format"}, "verify")
-    tol = _tolerances(config, args)
+def cmd_verify(config, args, tol):
     pair = _pair(config, args, tol)
     samples, seed = _samples_seed(config, args)
-    fmt = args.format or config.get("format", "json")
-    if fmt == "csv":
-        raise ValueError("csv output applies to iterate traces only; use json or human")
-
     reports = run_catalogue(pair, n_samples=samples, seed=seed)
-    overall = "pass" if all(r.verdict == PASS for r in reports) else "fail"
-    report = {
-        "command": "verify",
-        "pair": pair.descriptor(),
-        "samples": samples,
-        "seed": seed,
-        "tolerances": tol.to_json_dict(),
-        "catalogue": catalogue_for(pair.family),
-        "reports": [r.to_json_dict() for r in reports],
-        "verdict": overall,
-    }
-    text = _human_verify(report) if fmt == "human" else _dump_json(report)
-    _write_output(text, args.out or config.get("output"))
-    return EXIT_OK if overall == "pass" else EXIT_VIOLATION
+    ok = all(r.verdict == PASS for r in reports)
+    report = {"command": "verify", "pair": pair.descriptor(), "samples": samples,
+              "seed": seed, "tolerances": tol.to_json_dict(),
+              "catalogue": catalogue_for(pair.family),
+              "reports": [r.to_json_dict() for r in reports],
+              "verdict": "pass" if ok else "fail"}
+    return ok, {"json": lambda: _dump_json(report), "human": lambda: _human_verify(report)}
 
 
-def cmd_sup(args):
-    config = _load_config(args.config, {"command", "pair", "u", "v", "max_iter",
-                                        "seed", "tolerances", "output", "format"}, "sup")
-    tol = _tolerances(config, args)
+def _human_sup(trace):
+    lines = [f"status: {trace.status}  iterations: {trace.iterations}"]
+    if trace.result is not None:
+        lines.append(f"result: {trace.result.tolist()}")
+    lines += [f"upper bound: {trace.upper_bound_used.tolist()}", f"certified: {trace.certified}"]
+    return "\n".join(lines) + "\n"
+
+
+def cmd_sup(config, args, tol):
     pair = _pair(config, args, tol)
     if "u" not in config or "v" not in config:
         raise ValueError("sup config must provide vectors 'u' and 'v'")
@@ -150,35 +131,15 @@ def cmd_sup(args):
     v = as_vector(config["v"], pair.dim)
     max_iter = _as_int(args.max_iter if args.max_iter is not None
                        else config.get("max_iter", 100), "max_iter", 1)
-
-    trace = iterative_sup(pair, u, v, max_iter=max_iter, tol=tol.eps_converge)
-    fmt = args.format or config.get("format", "json")
-    if fmt == "csv":
-        text = trace.to_csv()
-    else:
-        report = {"command": "sup", "pair": pair.descriptor(),
-                  "u": u.tolist(), "v": v.tolist(),
-                  "tolerances": tol.to_json_dict(), "trace": trace.to_json_dict()}
-        if fmt == "human":
-            lines = [f"status: {trace.status}  iterations: {trace.iterations}"]
-            if trace.result is not None:
-                lines.append(f"result: {trace.result.tolist()}")
-            lines.append(f"upper bound: {trace.upper_bound_used.tolist()}")
-            lines.append(f"certified: {trace.certified}")
-            text = "\n".join(lines) + "\n"
-        else:
-            text = _dump_json(report)
-    _write_output(text, args.out or config.get("output"))
-    return EXIT_OK if trace.certified else EXIT_VIOLATION
+    trace = iterative_sup(pair, u, v, max_iter=max_iter)
+    report = {"command": "sup", "pair": pair.descriptor(),
+              "u": u.tolist(), "v": v.tolist(),
+              "tolerances": tol.to_json_dict(), "trace": trace.to_json_dict()}
+    return trace.certified, {"json": lambda: _dump_json(report), "csv": trace.to_csv,
+                             "human": lambda: _human_sup(trace)}
 
 
-def _demo_lex(samples, seed, tol):
-    report = lex_demo(n_terms=100)
-    return report, bool(report["certified"])
-
-
-def _demo_minkowski(samples, seed, tol, descriptor=None):
-    descriptor = descriptor or _DEFAULT_PAIRS["minkowski"]
+def _demo_minkowski(samples, seed, tol, descriptor):
     pair = pair_from_json(descriptor, tol=tol)
     reports = [properties.check_mutual_polarity(pair, samples, seed),
                properties.check_subadditive(pair, "m", samples, seed)]
@@ -222,70 +183,90 @@ _MOREAU_SUBADD_CONES = (
 
 
 def _demo_moreau_subadd(samples, seed, tol):
-    rows = []
-    ok = True
+    rows, ok = [], True
     for label, cone_json, expect_pass in _MOREAU_SUBADD_CONES:
         pair = moreau_pair(cone_from_json(cone_json), tol=tol)
         rep = properties.check_subadditive(pair, "m", samples, seed)
         rows.append({"cone": label, "verdict": rep.verdict,
                      "witnesses": rep.witnesses[:1]})
-        matches = (rep.verdict == PASS) if expect_pass else (rep.verdict == "fail")
-        ok = ok and matches
+        ok = ok and rep.verdict == (PASS if expect_pass else "fail")
     return {"table": rows}, ok
 
 
-def cmd_demo(args):
-    config = _load_config(args.config, {"command", "name", "samples", "seed",
-                                        "tolerances", "output", "format", "pair"}, "demo")
+def cmd_demo(config, args, tol):
     name = args.name or config.get("name")
     if name not in _DEMO_NAMES:
         raise ValueError(f"unknown demo: {name!r} (choose from {', '.join(_DEMO_NAMES)})")
-    tol = _tolerances(config, args)
+    if "pair" in config and name != "minkowski":
+        raise ValueError(f"demo {name} reads no 'pair'; only demo minkowski does")
+    # demo lex draws nothing, but its report still echoes samples and seed.
     samples, seed = _samples_seed(config, args)
     if name == "lex":
-        body, ok = _demo_lex(samples, seed, tol)
+        body = lex_demo(n_terms=100)
+        ok = bool(body["certified"])
     elif name == "minkowski":
-        body, ok = _demo_minkowski(samples, seed, tol, config.get("pair"))
+        body, ok = _demo_minkowski(samples, seed, tol,
+                                   config.get("pair") or _DEFAULT_PAIRS["minkowski"])
     else:
         body, ok = _demo_moreau_subadd(samples, seed, tol)
     report = {"command": "demo", "name": name, "samples": samples, "seed": seed,
               "tolerances": tol.to_json_dict(), "report": body,
               "verdict": "pass" if ok else "fail"}
-    fmt = args.format or config.get("format", "json")
-    if fmt == "csv":
-        raise ValueError("csv output applies to iterate traces only; use json or human")
-    if fmt == "human":
-        text = f"demo {name}: {'certified' if ok else 'NOT certified'}\n" + _dump_json(body)
-    else:
-        text = _dump_json(report)
-    _write_output(text, args.out or config.get("output"))
-    return EXIT_OK if ok else EXIT_VIOLATION
+    human = f"demo {name}: {'certified' if ok else 'NOT certified'}\n"
+    return ok, {"json": lambda: _dump_json(report), "human": lambda: human + _dump_json(body)}
 
 
-def cmd_batch(args):
-    config = _load_config(args.config, {"command", "pairs", "samples", "seed",
-                                        "tolerances", "output", "format"}, "batch")
-    if "pairs" not in config or not isinstance(config["pairs"], list) or not config["pairs"]:
+def cmd_batch(config, args, tol):
+    pairs = config.get("pairs")
+    if not isinstance(pairs, list) or not pairs:
         raise ValueError("batch config must provide a non-empty 'pairs' list")
-    tol = _tolerances(config, args)
     samples, seed = _samples_seed(config, args)
     entries = []
-    all_pass = True
-    for descriptor in config["pairs"]:
+    for descriptor in pairs:
         pair = pair_from_json(descriptor, tol=tol)
         reports = run_catalogue(pair, n_samples=samples, seed=seed)
         verdict = "pass" if all(r.verdict == PASS for r in reports) else "fail"
-        all_pass = all_pass and verdict == "pass"
         entries.append({"pair": pair.descriptor(), "verdict": verdict,
                         "reports": [r.to_json_dict() for r in reports]})
+    ok = all(entry["verdict"] == "pass" for entry in entries)
     report = {"command": "batch", "samples": samples, "seed": seed,
               "tolerances": tol.to_json_dict(), "entries": entries,
-              "verdict": "pass" if all_pass else "fail"}
-    fmt = args.format or config.get("format", "json")
-    if fmt != "json":
-        raise ValueError("batch reports are json only")
-    _write_output(_dump_json(report), args.out or config.get("output"))
-    return EXIT_OK if all_pass else EXIT_VIOLATION
+              "verdict": "pass" if ok else "fail"}
+    return ok, {"json": lambda: _dump_json(report)}
+
+
+_COMMON_KEYS = {"command", "tolerances", "output", "format"}
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A command's inputs.  ``samples`` adds --samples, --seed and their
+    config keys; ``arguments`` are (flags, add_argument keywords) pairs.
+    ``run(config, args, tol)`` returns the verdict and a renderer per format."""
+
+    run: Callable
+    help: str
+    keys: frozenset
+    formats: tuple
+    pair: bool = False
+    samples: bool = False
+    arguments: tuple = ()
+
+
+_COMMANDS = {
+    "verify": _Command(cmd_verify, "run the applicable property catalogue",
+                       frozenset({"pair"}), ("json", "human"), pair=True, samples=True),
+    "sup": _Command(cmd_sup, "iterate the pairwise supremum construction",
+                    frozenset({"pair", "u", "v", "max_iter"}), ("json", "csv", "human"),
+                    pair=True,
+                    arguments=((("--max-iter",), {"dest": "max_iter", "type": int,
+                                                  "help": "iteration cap (default 100)"}),)),
+    "demo": _Command(cmd_demo, "run a built-in demonstration",
+                     frozenset({"name", "pair"}), ("json", "human"), samples=True,
+                     arguments=((("name",), {"nargs": "?", "choices": _DEMO_NAMES}),)),
+    "batch": _Command(cmd_batch, "verify a list of pair descriptors",
+                      frozenset({"pairs"}), ("json",), samples=True),
+}
 
 
 def build_parser():
@@ -296,48 +277,50 @@ def build_parser():
         epilog="Property catalogue: " + ", ".join(k for k, _, _ in properties.CATALOGUE)
                + ". Exit codes: 0 pass, 1 violation/non-convergence, 2 usage error.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_pair=True):
+    for name, spec in _COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flags, keywords in spec.arguments:
+            p.add_argument(*flags, **keywords)
         p.add_argument("--config", help="JSON config path")
-        if with_pair:
+        if spec.pair:
             p.add_argument("--pair", choices=sorted(_DEFAULT_PAIRS),
                            help="built-in pair family (used when --config has no pair)")
-        p.add_argument("--samples", type=int, default=None, help="sample count (default 1000)")
-        p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="sets all tolerances (default 1e-8)")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv", "human"), default=None,
-                       help="report format (default json; csv for traces only)")
-
-    p_verify = sub.add_parser("verify", help="run the applicable property catalogue")
-    common(p_verify)
-
-    p_sup = sub.add_parser("sup", help="iterate the pairwise supremum construction")
-    common(p_sup)
-    p_sup.add_argument("--max-iter", dest="max_iter", type=int, default=None,
-                       help="iteration cap (default 100)")
-
-    p_demo = sub.add_parser("demo", help="run a built-in demonstration")
-    p_demo.add_argument("name", nargs="?", choices=_DEMO_NAMES, default=None)
-    common(p_demo, with_pair=False)
-
-    p_batch = sub.add_parser("batch", help="verify a list of pair descriptors")
-    common(p_batch, with_pair=False)
+        if spec.samples:
+            p.add_argument("--samples", type=int, help="sample count (default 1000)")
+            p.add_argument("--seed", type=int, help="random seed (default 0)")
+        p.add_argument("--tol", type=float, help="sets all tolerances (default 1e-8)")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.add_argument("--format", choices=spec.formats, help="report format (default json)")
     return parser
 
 
-_DISPATCH = {"verify": cmd_verify, "sup": cmd_sup, "demo": cmd_demo, "batch": cmd_batch}
+def _run(args):
+    """Load the config, check the format, build the tolerances, run the
+    command and write its report; returns the exit code."""
+    spec = _COMMANDS[args.command]
+    config = _load_config(args.config, args.command)
+    fmt = args.format or config.get("format", "json")
+    if fmt not in spec.formats:
+        raise ValueError(f"{args.command} writes {', '.join(spec.formats)} reports, "
+                         f"not format {fmt!r}")
+    tol = _tolerances(config, args)
+    ok, renderers = spec.run(config, args, tol)
+    text, out = renderers[fmt](), args.out or config.get("output")
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_VIOLATION
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.command](args)
+        return _run(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

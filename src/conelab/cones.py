@@ -32,8 +32,10 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("eps_membership", "eps_equal", "eps_converge"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not (math.isfinite(v) and v > 0)):
                 raise ValueError(f"{name} must be a positive finite number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         floor = 100.0 * float(np.finfo(np.float64).eps)
         if self.eps_converge < floor:
             raise ValueError(f"eps_converge below the {floor:.2e} floor")
@@ -50,9 +52,7 @@ class ToleranceConfig:
         unknown = set(obj) - {"membership", "equal", "converge"}
         if unknown:
             raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        return ToleranceConfig(eps_membership=float(obj.get("membership", 1e-8)),
-                               eps_equal=float(obj.get("equal", 1e-8)),
-                               eps_converge=float(obj.get("converge", 1e-8)))
+        return ToleranceConfig(**{f"eps_{key}": value for key, value in obj.items()})
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -420,8 +420,10 @@ def cone_from_json(obj):
             raise ValueError("simplicial basis must be a list of generator columns")
         return Simplicial(cols.T)
     if kind == "lorentz":
-        return Lorentz(_as_int(obj.get("dim"), "cone dim"),
-                       negated=bool(obj.get("negated", False)))
+        negated = obj.get("negated", False)
+        if not isinstance(negated, bool):
+            raise ValueError(f"lorentz negated must be true or false, got {negated!r}")
+        return Lorentz(_as_int(obj.get("dim"), "cone dim"), negated=negated)
     if kind == "generators":
         return PolyhedralGenerators(obj["vectors"])
     return PolyhedralHalfspaces(obj["normals"])

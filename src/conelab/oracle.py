@@ -24,6 +24,8 @@ MAX_DD_HALFSPACES = 12
 # canonical candidate (smallest face, then lexicographic) wins ties.
 _TIE_REL = 1e-12
 _RANK_RTOL = 1e-12
+# Feasibility slack of a candidate ray against the row-normalized normals.
+_FEAS_TOL = 1e-9
 
 
 def _as_generator_matrix(generators, max_rows=MAX_GENERATORS):
@@ -210,7 +212,7 @@ def conic_feasibility(generators, x, eps=1e-8):
     return dist <= eps * (1.0 + float(np.linalg.norm(x)))
 
 
-def double_description(halfspaces, feas_tol=1e-9):
+def double_description(halfspaces):
     """Extreme rays of ``{x : n_j . x >= 0 for all j}`` by active-set enumeration.
 
     Lineality (the cone is not pointed) is reported as explicit +/- line
@@ -221,9 +223,6 @@ def double_description(halfspaces, feas_tol=1e-9):
     ----------
     halfspaces : array_like, shape (k, m)
         Inward normal vectors, one per row.  k <= 12, m <= 10.
-    feas_tol : float
-        Feasibility slack for candidate directions (normals are
-        row-normalized internally, so this is an absolute tolerance).
 
     Returns
     -------
@@ -253,7 +252,7 @@ def double_description(halfspaces, feas_tol=1e-9):
     if r == 1:
         for sign in (1.0, -1.0):
             d = np.array([sign])
-            if np.all(Br @ d >= -feas_tol):
+            if np.all(Br @ d >= -_FEAS_TOL):
                 _push(d)
     else:
         for S in itertools.combinations(range(k), r - 1):
@@ -265,7 +264,7 @@ def double_description(halfspaces, feas_tol=1e-9):
             d = Va[-1]
             for sign in (1.0, -1.0):
                 cand = sign * d
-                if np.all(Br @ cand >= -feas_tol):
+                if np.all(Br @ cand >= -_FEAS_TOL):
                     _push(cand)
     out = [Q @ d for d in rays_reduced]
     out = [v / np.linalg.norm(v) for v in out]

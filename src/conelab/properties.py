@@ -236,6 +236,17 @@ def _isotonicity(R, cone):
     return lambda X, Y: cone.membership_residual(R(Y) - R(X))
 
 
+def _sup_commutes(pair, S):
+    """m(sup S) = sup m(S) for each set S of an (n, k, dim) stack of a lattice
+    pair, suprema taken in basis coordinates; relative to 1 + max_{s in S} |s|."""
+    A, invA = pair.basis, pair.basis_inv
+    coords = S @ invA.T
+    sup_s = coords.max(axis=1) @ A.T
+    sup_images = np.clip(coords, 0.0, None).max(axis=1) @ A.T
+    scale = 1.0 + np.linalg.norm(S, axis=2).max(axis=1)
+    return np.linalg.norm(pair.m(sup_s) - sup_images, axis=1) / scale
+
+
 def check_mutual_polarity(pair, n_samples=1000, seed=0):
     """m + n = I and m(n(x)) = n(m(x)) = 0 on Gaussian samples."""
     tol = pair.tol
@@ -419,7 +430,6 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
     X = np.vstack([np.zeros((1, pair.dim)), gaussian_points(rng, n_samples, pair.dim)])
     Y = np.vstack([np.zeros((1, pair.dim)), gaussian_points(rng, n_samples, pair.dim)])
     K = cone_members(pair.cone_m, rng, X.shape[0])
-    A, invA = pair.basis, pair.basis_inv
 
     def separation(X):
         s = _scales(X)
@@ -429,11 +439,7 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
         return np.where(antecedent & ~separated, np.linalg.norm(X, axis=1) / s, 0.0)
 
     def sup_distributes(X, Y):
-        CX, CY = X @ invA.T, Y @ invA.T
-        sup_xy = np.maximum(CX, CY) @ A.T
-        sup_images = np.maximum(np.clip(CX, 0.0, None), np.clip(CY, 0.0, None)) @ A.T
-        return np.linalg.norm(pair.m(sup_xy) - sup_images, axis=1) / \
-            (1.0 + np.maximum(np.linalg.norm(X, axis=1), np.linalg.norm(Y, axis=1)))
+        return _sup_commutes(pair, np.stack([X, Y], axis=1))
 
     chk = _Check()
     chk.norm("idempotent", _idempotence(pair.m), {"x": X}, tol.eps_equal)

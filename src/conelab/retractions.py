@@ -89,7 +89,7 @@ class RetractionPair:
     """
 
     def __init__(self, family, cone_m, cone_n, m_map, n_map, tol=DEFAULT_TOL,
-                 descriptor=None, subadd_cone_m=None, subadd_cone_n=None, *,
+                 descriptor=None, subadd_cone_m=None, *,
                  basis=None, basis_inv=None, phi=None):
         self.family = family
         self.cone_m = cone_m
@@ -99,7 +99,7 @@ class RetractionPair:
         self._n = n_map
         self._descriptor = descriptor or {"family": family}
         self.subadd_cone_m = subadd_cone_m if subadd_cone_m is not None else cone_m
-        self.subadd_cone_n = subadd_cone_n if subadd_cone_n is not None else cone_n
+        self.subadd_cone_n = cone_n
         self.basis = basis
         self.basis_inv = basis_inv
         self.phi = phi

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Orthant, Simplicial, as_vector, leq
-from .properties import _Check, _norm_status
+from .properties import _Check, _norm_status, _sup_commutes
 from .sampling import cone_members, gaussian_points, rng_for
 
 CONVERGED, MAX_ITER, DIVERGED = "converged", "max_iter", "diverged"
@@ -121,15 +121,16 @@ def default_upper_bound(pair, u, v):
     return w
 
 
-def iterative_sup(pair, u, v, max_iter=100, tol=None):
+def iterative_sup(pair, u, v, max_iter=100):
     """Compute sup{u, v} by alternating the anchored maps of the pair.
 
     Starting from u1 = M_u(v), alternate v_k = M_v(u_k) and
     u_{k+1} = M_u(v_k) until both gap norms |u_{k+1} - v_k| and
-    |u_{k+1} - u_k| fall below ``tol * (1 + |u_k|)``.  Each step is
-    validated against the order: iterates must increase and stay below the
-    scaffold bound m(u) + m(v); a violation ends the run with status
-    ``diverged`` (the pair does not behave like a lattice retraction).
+    |u_{k+1} - u_k| fall below ``pair.tol.eps_converge * (1 + |u_k|)``.
+    Each step is validated against the order: iterates must increase and
+    stay below the scaffold bound m(u) + m(v); a violation ends the run
+    with status ``diverged`` (the pair does not behave like a lattice
+    retraction).
 
     Returns a :class:`SupTrace`; on convergence the result is checked to be
     an upper bound of {u, v} and below the scaffold bound, recorded in the
@@ -137,12 +138,10 @@ def iterative_sup(pair, u, v, max_iter=100, tol=None):
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    if tol is None:
-        tol = pair.tol.eps_converge
     u = as_vector(u, pair.dim)
     v = as_vector(v, pair.dim)
-    mem_tol = pair.tol
-    fail_eps = 10.0 * mem_tol.eps_membership
+    tol = pair.tol
+    fail_eps = 10.0 * tol.eps_membership
     cone = pair.cone_m
     m_u = lambda x: u + pair.m(x - u)  # noqa: E731
     m_v = lambda x: v + pair.m(x - v)  # noqa: E731
@@ -174,8 +173,8 @@ def iterative_sup(pair, u, v, max_iter=100, tol=None):
                 status = DIVERGED
                 break
             u_its.append(u_next)
-            scale = 1.0 + float(np.linalg.norm(u_k))
-            if g_uv <= tol * scale and g_uu <= tol * scale:
+            limit = tol.eps_converge * (1.0 + float(np.linalg.norm(u_k)))
+            if g_uv <= limit and g_uu <= limit:
                 status = CONVERGED
                 break
 
@@ -186,8 +185,8 @@ def iterative_sup(pair, u, v, max_iter=100, tol=None):
         result = u_its[-1]
         trace.result = result.copy()
         trace.result_is_upper_bound = bool(
-            leq(cone, u, result, mem_tol) and leq(cone, v, result, mem_tol))
-        trace.result_below_scaffold = bool(leq(cone, result, w, mem_tol))
+            leq(cone, u, result, tol) and leq(cone, v, result, tol))
+        trace.result_below_scaffold = bool(leq(cone, result, w, tol))
         fp = max(float(np.linalg.norm(m_u(result) - result)),
                  float(np.linalg.norm(m_v(result) - result)))
         trace.fixed_point_residual = fp / (1.0 + float(np.linalg.norm(result)))
@@ -268,9 +267,9 @@ def finite_sigma_continuity_check(pair, chain_length=8, seed=0, n_chains=64):
 
 
 def _chain_sup_residuals(pair, rng, n_chains, chain_length):
-    """Start point and residual |m(sup chain) - sup m(chain)| / (1 + max |x|)
-    of each of ``n_chains`` random increasing chains of a lattice pair."""
-    A, invA = pair.basis, pair.basis_inv
+    """Start point and sup-commutes residual of each of ``n_chains`` random
+    increasing chains of a lattice pair."""
+    A = pair.basis
     # One draw, in the order the chains are built: each chain's Gaussian
     # start, then its chain_length - 1 increments, random members of the
     # m-range cone(A) with coefficients |z| / sqrt(dim) as ``cone_members``
@@ -278,8 +277,4 @@ def _chain_sup_residuals(pair, rng, n_chains, chain_length):
     Z = gaussian_points(rng, n_chains * chain_length, pair.dim)
     Z = Z.reshape(n_chains, chain_length, pair.dim)
     chains = np.cumsum(np.concatenate([Z[:, :1], np.abs(Z[:, 1:]) @ A.T], axis=1), axis=1)
-    coords = chains @ invA.T
-    sup_chain = coords.max(axis=1) @ A.T
-    sup_images = np.clip(coords, 0.0, None).max(axis=1) @ A.T
-    scale = 1.0 + np.linalg.norm(chains, axis=2).max(axis=1)
-    return chains[:, 0], np.linalg.norm(pair.m(sup_chain) - sup_images, axis=1) / scale
+    return chains[:, 0], _sup_commutes(pair, chains)

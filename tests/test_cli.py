@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from conelab.cli import main
+from conelab.cli import _COMMANDS, build_parser, main
 
 RUN = [sys.executable, "-m", "conelab"]
 
@@ -233,3 +234,67 @@ def test_non_integer_cone_dim_exit_two(tmp_path, capsys):
 def test_console_script_usage_error():
     result = run_cli(["verify", "--format", "yaml"])
     assert result.returncode == 2
+
+
+_LATTICE_2 = {"family": "lattice", "cone": {"type": "orthant", "dim": 2}}
+_SUP_CONFIG = {"pair": _LATTICE_2, "u": [1.0, 0.0], "v": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("args,config", [
+    (["sup", "--seed", "1"], _SUP_CONFIG),
+    (["sup", "--samples", "5"], _SUP_CONFIG),
+    (["sup"], dict(_SUP_CONFIG, seed=9)),
+    (["verify"], {"pair": _LATTICE_2, "samples": 20, "format": "xml"}),
+    (["demo"], {"name": "lex", "format": "xml"}),
+    (["batch"], {"pairs": [_LATTICE_2], "samples": 20, "format": "human"}),
+    (["demo"], {"name": "moreau-subadd", "samples": 20, "pair": _LATTICE_2}),
+    (["demo"], {"name": "lex", "pair": _LATTICE_2}),
+], ids=["sup-seed-flag", "sup-samples-flag", "sup-seed-key", "verify-format-xml",
+        "demo-format-xml", "batch-format-human", "demo-moreau-subadd-pair", "demo-lex-pair"])
+def test_inputs_a_command_does_not_read_exit_two(tmp_path, capsys, args, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(args + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("conelab: error: ")
+
+
+def _subparser(name):
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+@pytest.mark.parametrize("name", sorted(_COMMANDS))
+def test_parser_follows_command_table(name):
+    spec = _COMMANDS[name]
+    options = _subparser(name)._option_string_actions
+    assert tuple(options["--format"].choices) == spec.formats
+    assert ("--samples" in options) == spec.samples
+    assert ("--seed" in options) == spec.samples
+    assert ("--pair" in options) == spec.pair
+
+
+@pytest.mark.parametrize("name,fmt", [(name, fmt) for name in sorted(_COMMANDS)
+                                      for fmt in _COMMANDS[name].formats])
+def test_every_declared_format_renders(tmp_path, name, fmt):
+    config = {"verify": {"pair": _LATTICE_2, "samples": 20},
+              "sup": _SUP_CONFIG,
+              "demo": {"name": "moreau-subadd", "samples": 20},
+              "batch": {"pairs": [_LATTICE_2], "samples": 20}}[name]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(config, format=fmt)))
+    out = tmp_path / "report"
+    assert main([name, "--config", str(cfg), "--out", str(out)]) == 0
+    assert out.read_text()
+
+
+@pytest.mark.parametrize("value", [None, "1e-8", True, [1]],
+                         ids=["null", "string", "true", "list"])
+def test_non_number_tolerance_exit_two(tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": _LATTICE_2, "samples": 20,
+                               "tolerances": {"membership": value}}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("conelab: error: eps_membership must be") and err.count("\n") == 1

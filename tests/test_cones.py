@@ -195,6 +195,13 @@ def test_cone_json_rejects_non_integer_dim(kind, dim):
         cone_from_json({"type": kind, "dim": dim})
 
 
+@pytest.mark.parametrize("negated", ["no", 0, 1, None])
+def test_cone_json_rejects_non_boolean_negated(negated):
+    with pytest.raises(ValueError, match="lorentz negated must be true or false"):
+        cone_from_json({"type": "lorentz", "dim": 3, "negated": negated})
+    assert not cone_from_json({"type": "lorentz", "dim": 3, "negated": False}).negated
+
+
 def test_dimension_caps():
     with pytest.raises(ValueError):
         Orthant(17)
