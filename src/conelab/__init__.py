@@ -19,7 +19,7 @@ from .properties import (CATALOGUE, PropertyReport, catalogue_for,
                          check_idempotence, check_isotone, check_mutual_polarity,
                          check_range_kernel, check_range_negation, check_ranges,
                          check_riesz_identities, check_subadditive,
-                         check_subadditivity_defect_sets, run_catalogue)
+                         check_subadditivity_defect_sets, run_catalogue, sup_m)
 from .retractions import (RetractionPair, lattice_pair, minkowski_pair,
                           moreau_pair, pair_from_json, project_cone)
 from .suprema import (SupTrace, closed_form_sup, default_upper_bound,

@@ -82,15 +82,13 @@ class RetractionPair:
     """A pair of maps (m, n) with m + n = I and vanishing cross-compositions.
 
     ``cone_m`` and ``cone_n`` describe the ranges; both maps accept a
-    vector or an (n, dim) batch.  Lattice pairs carry the simplicial
-    ``basis`` and ``basis_inv`` of their coordinates, minkowski pairs the
-    order-unit functional ``phi``; both are None otherwise.  Instances are
-    immutable; evaluation is pure and thread-safe.
+    vector or an (n, dim) batch.  Minkowski pairs carry the order-unit
+    functional ``phi``; it is None otherwise.  Instances are immutable;
+    evaluation is pure and thread-safe.
     """
 
     def __init__(self, family, cone_m, cone_n, m_map, n_map, tol=DEFAULT_TOL,
-                 descriptor=None, subadd_cone_m=None, *,
-                 basis=None, basis_inv=None, phi=None):
+                 descriptor=None, subadd_cone_m=None, *, phi=None):
         self.family = family
         self.cone_m = cone_m
         self.cone_n = cone_n
@@ -100,8 +98,6 @@ class RetractionPair:
         self._descriptor = descriptor or {"family": family}
         self.subadd_cone_m = subadd_cone_m if subadd_cone_m is not None else cone_m
         self.subadd_cone_n = cone_n
-        self.basis = basis
-        self.basis_inv = basis_inv
         self.phi = phi
 
     @property
@@ -150,8 +146,7 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
         return -(np.clip(-(X @ invA.T), 0.0, None) @ A.T)
 
     return RetractionPair("lattice", cone_m, negate(simp), m_map, n_map, tol=tol,
-                          descriptor={"family": "lattice", "cone": cone_to_json(cone)},
-                          basis=A, basis_inv=invA)
+                          descriptor={"family": "lattice", "cone": cone_to_json(cone)})
 
 
 def moreau_pair(cone, tol=DEFAULT_TOL):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Orthant, Simplicial, as_vector, leq
-from .properties import _Check, _norm_status, _sup_commutes
+from .properties import _Check, _norm_status, _sup_commutes, sup_m
 from .sampling import cone_members, gaussian_points, rng_for
 
 CONVERGED, MAX_ITER, DIVERGED = "converged", "max_iter", "diverged"
@@ -143,8 +143,8 @@ def iterative_sup(pair, u, v, max_iter=100):
     tol = pair.tol
     fail_eps = 10.0 * tol.eps_membership
     cone = pair.cone_m
-    m_u = lambda x: u + pair.m(x - u)  # noqa: E731
-    m_v = lambda x: v + pair.m(x - v)  # noqa: E731
+    m_u = lambda x: sup_m(pair, x, u)  # noqa: E731
+    m_v = lambda x: sup_m(pair, x, v)  # noqa: E731
     w = _scaffold_bound(pair, u, v)
 
     u_its = [m_u(v)]
@@ -247,14 +247,12 @@ def lex_demo(n_terms=100, candidate_bounds=None):
 
 
 def finite_sigma_continuity_check(pair, chain_length=8, seed=0, n_chains=64):
-    """m commutes with suprema of finite increasing chains (lattice pairs).
+    """m commutes with suprema of finite increasing chains.
 
-    Chains are built by cumulative addition of random cone members; the
-    supremum of the m-images must equal the m-image of the supremum, with
-    both sides computed in basis coordinates.
+    Chains are built by cumulative addition of random m-range members; the
+    supremum of the m-images must equal the m-image of the supremum, both
+    folded with :func:`~conelab.properties.sup_m`.
     """
-    if pair.family != "lattice":
-        raise ValueError("finite chain check applies to lattice pairs only")
     if chain_length < 1:
         raise ValueError("chain_length must be >= 1")
     tol = pair.tol
@@ -268,13 +266,10 @@ def finite_sigma_continuity_check(pair, chain_length=8, seed=0, n_chains=64):
 
 def _chain_sup_residuals(pair, rng, n_chains, chain_length):
     """Start point and sup-commutes residual of each of ``n_chains`` random
-    increasing chains of a lattice pair."""
-    A = pair.basis
-    # One draw, in the order the chains are built: each chain's Gaussian
-    # start, then its chain_length - 1 increments, random members of the
-    # m-range cone(A) with coefficients |z| / sqrt(dim) as ``cone_members``
-    # makes them.
-    Z = gaussian_points(rng, n_chains * chain_length, pair.dim)
-    Z = Z.reshape(n_chains, chain_length, pair.dim)
-    chains = np.cumsum(np.concatenate([Z[:, :1], np.abs(Z[:, 1:]) @ A.T], axis=1), axis=1)
-    return chains[:, 0], _sup_commutes(pair, chains)
+    increasing chains: all Gaussian starts are drawn first, then all
+    increments, in chain order."""
+    starts = gaussian_points(rng, n_chains, pair.dim)
+    steps = cone_members(pair.cone_m, rng, n_chains * (chain_length - 1))
+    steps = steps.reshape(n_chains, chain_length - 1, pair.dim)
+    chains = np.cumsum(np.concatenate([starts[:, None], steps], axis=1), axis=1)
+    return starts, _sup_commutes(pair, chains)

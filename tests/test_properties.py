@@ -10,6 +10,7 @@ from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempote
                                 check_ranges, check_riesz_identities,
                                 check_subadditive, check_subadditivity_defect_sets,
                                 run_catalogue)
+from conelab.suprema import finite_sigma_continuity_check
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
 # Non-orthogonal simplicial cone whose Moreau pair runs through FaceTable.
@@ -142,9 +143,23 @@ def test_riesz_identities_pass_on_lattice():
         assert rep.verdict == "pass"
 
 
-def test_riesz_identities_require_lattice():
-    with pytest.raises(ValueError):
-        check_riesz_identities(moreau_pair(Orthant(2)), 10, 0)
+# The paper's conclusion: when a Moreau pair has the catalogue's order
+# properties, m is the positive-part map of a lattice cone.  A cone with
+# pairwise orthogonal extreme rays (an orthant, Lorentz(2)) gives such a pair;
+# on Lorentz(3) and the skew simplicial cone the supremum y + m(x - y) does
+# not commute with m.
+@pytest.mark.parametrize("cone, lattice", [(Orthant(4), True), (Lorentz(2), True),
+                                           (Lorentz(3), False), (SKEW, False)],
+                         ids=["orthant-4", "lorentz-2", "lorentz-3", "skew-simplicial"])
+def test_riesz_identities_follow_theorem_on_moreau(cone, lattice):
+    pair = moreau_pair(cone)
+    rep = check_riesz_identities(pair, 300, seed=0)
+    if lattice:
+        assert rep.verdict == "pass"
+        assert finite_sigma_continuity_check(pair, 8, 0, 64).verdict == "pass"
+    else:
+        assert rep.verdict == "fail"
+        assert "sup-distributes" in {w["check"] for w in rep.witnesses}
 
 
 def test_ranges_and_idempotence_minkowski():
