@@ -346,19 +346,21 @@ def check_range_negation(pair, n_samples=1000, seed=0):
     return chk.finish("range-negation", n_samples, seed, tol)
 
 
-def _side(pair, which, order):
-    """Map ``which`` ("m" or "n") of the pair and its cone ``<order>_<which>``:
-    order "cone" is the range, "subadd_cone" the order subadditivity uses."""
-    if which not in ("m", "n"):
-        raise ValueError("which must be 'm' or 'n'")
-    return getattr(pair, which), getattr(pair, f"{order}_{which}")
+def _side(pair, which):
+    """Map ``which`` ("m" or "n") of the pair, its range cone and the cone
+    its subadditivity compares in."""
+    if which == "m":
+        return pair.m, pair.cone_m, pair.subadd_cone_m
+    if which == "n":
+        return pair.n, pair.cone_n, pair.cone_n
+    raise ValueError("which must be 'm' or 'n'")
 
 
 def check_subadditive(pair, which="m", n_samples=1000, seed=0):
     """R(x+y) <= R(x) + R(y) in the range order: the defect
     R(x) + R(y) - R(x+y) must be a member of the range cone."""
     tol = pair.tol
-    R, cone = _side(pair, which, "subadd_cone")
+    R, _, cone = _side(pair, which)
     rng = rng_for(seed, f"subadditive-{which}")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = gaussian_points(rng, n_samples, pair.dim)
@@ -372,7 +374,7 @@ def check_isotone(pair, which="m", n_samples=1000, seed=0):
     """x <= y implies R(x) <= R(y); comparable pairs are built as
     y = x + k with k a random member of the order cone."""
     tol = pair.tol
-    R, cone = _side(pair, which, "cone")
+    R, cone, _ = _side(pair, which)
     rng = rng_for(seed, f"isotone-{which}")
     X = gaussian_points(rng, n_samples, pair.dim)
     Y = X + cone_members(cone, rng, n_samples)

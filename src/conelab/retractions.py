@@ -97,7 +97,6 @@ class RetractionPair:
         self._n = n_map
         self._descriptor = descriptor or {"family": family}
         self.subadd_cone_m = subadd_cone_m if subadd_cone_m is not None else cone_m
-        self.subadd_cone_n = cone_n
         self.phi = phi
 
     @property

@@ -233,7 +233,7 @@ def _scalar_replays(pair):
 
     return {
         ("subadditive-m", "defect-membership"): subadd(m, pair.subadd_cone_m),
-        ("subadditive-n", "defect-membership"): subadd(n, pair.subadd_cone_n),
+        ("subadditive-n", "defect-membership"): subadd(n, pair.cone_n),
         ("subadditivity-defects", "defect-in-range"): subadd(m, pair.subadd_cone_m),
         ("isotone-m", "image-order"): lambda x, y: float(cm.membership_residual(m(y) - m(x))),
         ("isotone-n", "image-order"): lambda x, y: float(cn.membership_residual(n(y) - n(x))),
