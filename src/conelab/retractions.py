@@ -57,7 +57,7 @@ def _projector(cone):
         table = oracle.FaceTable(A.T)
         return lambda X: table.project(X)[0]
     if isinstance(cone, PolyhedralGenerators):
-        table = oracle.FaceTable(cone.vectors)
+        table = cone._table()  # shared with the cone's membership test
         return lambda X: table.project(X)[0]
     if isinstance(cone, PolyhedralHalfspaces):
         rays = oracle.double_description(cone.normals)

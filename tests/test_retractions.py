@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conelab import (Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
+from conelab import (FaceTable, Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
                      Simplicial, contains, is_generating, lattice_pair,
                      minkowski_pair, moreau_pair, pair_from_json, project_cone,
                      sample_simplicial)
@@ -112,6 +112,24 @@ def test_moreau_polyhedral_forms():
     _pair_axioms_hold(moreau_pair(gens), n=300)
     hs = PolyhedralHalfspaces([[1.0, 0.0], [0.0, 1.0]])
     _pair_axioms_hold(moreau_pair(hs), n=300)
+
+
+def test_moreau_generator_cone_builds_one_face_table(monkeypatch):
+    built = []
+    init = FaceTable.__init__
+
+    def counting_init(self, generators):
+        built.append(np.array(generators, dtype=float))
+        init(self, generators)
+
+    monkeypatch.setattr(FaceTable, "__init__", counting_init)
+    cone = PolyhedralGenerators(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                          [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]))
+    pair = moreau_pair(cone)
+    X = gaussian_points(rng_for(0, "face-table"), 20, 3)
+    pair.m(X)
+    pair.cone_m.membership_residual(X)
+    assert sum(np.array_equal(G, cone.vectors) for G in built) == 1
 
 
 def test_minkowski_examples():
