@@ -303,9 +303,12 @@ def _run(args):
     if fmt not in spec.formats:
         raise ValueError(f"{args.command} writes {', '.join(spec.formats)} reports, "
                          f"not format {fmt!r}")
+    out = args.out or config.get("output")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"output must be a path string, got {out!r}")
     tol = _tolerances(config, args)
     ok, renderers = spec.run(config, args, tol)
-    text, out = renderers[fmt](), args.out or config.get("output")
+    text = renderers[fmt]()
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

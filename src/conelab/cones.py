@@ -58,9 +58,18 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _as_numbers(x, name):
+    """A (nested) JSON array of numbers as a float array; strings, booleans,
+    null and objects are rejected."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of numbers, got {x!r}")
+    return a.astype(float, copy=False)
+
+
 def as_vector(x, dim=None):
     """Validate and return a finite 1-D float vector."""
-    v = np.asarray(x, dtype=float)
+    v = _as_numbers(x, "vector")
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of ndim {v.ndim}")
     if not np.all(np.isfinite(v)):
@@ -415,7 +424,7 @@ def cone_from_json(obj):
     if kind == "orthant":
         return Orthant(_as_int(obj.get("dim"), "cone dim"))
     if kind == "simplicial":
-        cols = np.asarray(obj["basis"], dtype=float)
+        cols = _as_numbers(obj["basis"], "simplicial basis")
         if cols.ndim != 2:
             raise ValueError("simplicial basis must be a list of generator columns")
         return Simplicial(cols.T)
@@ -425,8 +434,8 @@ def cone_from_json(obj):
             raise ValueError(f"lorentz negated must be true or false, got {negated!r}")
         return Lorentz(_as_int(obj.get("dim"), "cone dim"), negated=negated)
     if kind == "generators":
-        return PolyhedralGenerators(obj["vectors"])
-    return PolyhedralHalfspaces(obj["normals"])
+        return PolyhedralGenerators(_as_numbers(obj["vectors"], "generator vectors"))
+    return PolyhedralHalfspaces(_as_numbers(obj["normals"], "halfspace normals"))
 
 
 def cone_to_json(cone):

@@ -298,3 +298,21 @@ def test_non_number_tolerance_exit_two(tmp_path, capsys, value):
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("conelab: error: eps_membership must be") and err.count("\n") == 1
+
+
+_SIMPLICIAL_BAD_BASIS = {"family": "lattice", "cone": {"type": "simplicial", "basis": {}}}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("sup", dict(_SUP_CONFIG, u={})),
+    ("verify", {"pair": _SIMPLICIAL_BAD_BASIS, "samples": 20}),
+    ("verify", {"pair": _LATTICE_2, "samples": 20, "output": [1]}),
+    ("verify", {"pair": _LATTICE_2, "samples": 20, "output": 1}),
+], ids=["sup-u-object", "simplicial-basis-object", "output-list", "output-number"])
+def test_wrong_typed_json_exit_two(tmp_path, capsys, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("conelab: error: ") and captured.err.count("\n") == 1
