@@ -468,7 +468,9 @@ def _sigma_runner(pair, n_samples, seed):
 
 # Catalogue of checkers by property id, in report order, with the pair
 # families each applies to.  The ids are frozen strings: reports stay
-# diffable across runs and releases.
+# diffable across runs and releases.  Each runner looks its checker up by
+# name at call time: ``perfbench/spans.py`` wraps these module attributes,
+# and direct function references here would hide every check span.
 CATALOGUE = (
     ("ranges", ("lattice", "moreau", "minkowski"),
      lambda pair, n, seed: check_ranges(pair, n, seed)),

@@ -3,6 +3,7 @@ import pytest
 
 from conelab import (Lorentz, Orthant, RetractionPair, Simplicial, lattice_pair,
                      minkowski_pair, moreau_pair, sample_simplicial)
+from conelab import properties, suprema
 from conelab.cones import DEFAULT_TOL
 from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempotence,
                                 check_isotone, check_mutual_polarity,
@@ -281,3 +282,15 @@ def test_witness_order_across_labels_and_arities():
         float(np.linalg.norm(c[1])),
         tuple(np.concatenate([c[1]] + ([] if c[2] is None else [c[2]])).tolist())))[:8]
     assert got == [(c, x.tolist(), None if y is None else y.tolist()) for c, x, y in expected]
+
+
+def test_run_catalogue_calls_checkers_by_current_name(monkeypatch):
+    # The benchmark's span tracer replaces these module attributes.
+    calls = []
+    monkeypatch.setattr(properties, "check_ranges",
+                        lambda *args: calls.append("ranges") or "ranges-report")
+    monkeypatch.setattr(suprema, "finite_sigma_continuity_check",
+                        lambda *args, **kwargs: calls.append("chain") or "chain-report")
+    reports = run_catalogue(lattice_pair(Orthant(2)), 20, seed=0)
+    assert calls == ["ranges", "chain"]
+    assert reports[0] == "ranges-report" and reports[-1] == "chain-report"
