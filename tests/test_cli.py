@@ -306,9 +306,14 @@ _SIMPLICIAL_BAD_BASIS = {"family": "lattice", "cone": {"type": "simplicial", "ba
 @pytest.mark.parametrize("command,config", [
     ("sup", dict(_SUP_CONFIG, u={})),
     ("verify", {"pair": _SIMPLICIAL_BAD_BASIS, "samples": 20}),
+    ("verify", {"pair": {"family": "moreau", "cone": {"type": "generators", "vectors": {}}},
+                "samples": 20}),
+    ("verify", {"pair": {"family": "moreau", "cone": {"type": "halfspaces", "normals": {}}},
+                "samples": 20}),
     ("verify", {"pair": _LATTICE_2, "samples": 20, "output": [1]}),
     ("verify", {"pair": _LATTICE_2, "samples": 20, "output": 1}),
-], ids=["sup-u-object", "simplicial-basis-object", "output-list", "output-number"])
+], ids=["sup-u-object", "simplicial-basis-object", "generators-object", "halfspaces-object",
+        "output-list", "output-number"])
 def test_wrong_typed_json_exit_two(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
