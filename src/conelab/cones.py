@@ -135,27 +135,6 @@ class ConeSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class Orthant(ConeSpec):
-    """Nonnegative orthant of R^m."""
-
-    ambient_dim: int
-
-    def __post_init__(self):
-        if not (isinstance(self.ambient_dim, (int, np.integer))
-                and 1 <= self.ambient_dim <= MAX_DENSE_DIM):
-            raise ValueError(f"orthant dimension must be in 1..{MAX_DENSE_DIM}")
-
-    @property
-    def dim(self):
-        return self.ambient_dim
-
-    def membership_residual(self, x):
-        X, single = _as_batch(x, self.dim)
-        res = np.maximum(0.0, -X.min(axis=1)) / _scales(X)
-        return self._finish(res, single)
-
-
-@dataclass(frozen=True, eq=False)
 class Simplicial(ConeSpec):
     """Cone generated by the columns of an invertible basis matrix."""
 
@@ -190,6 +169,22 @@ class Simplicial(ConeSpec):
         X, single = _as_batch(x, self.dim)
         C = X @ self.basis_inv.T
         res = np.maximum(0.0, -C.min(axis=1)) / _scales(X)
+        return self._finish(res, single)
+
+
+class Orthant(Simplicial):
+    """Nonnegative orthant of R^m: the simplicial cone of the identity basis."""
+
+    def __init__(self, ambient_dim):
+        if not (isinstance(ambient_dim, (int, np.integer))
+                and 1 <= ambient_dim <= MAX_DENSE_DIM):
+            raise ValueError(f"orthant dimension must be in 1..{MAX_DENSE_DIM}")
+        Simplicial.__init__(self, np.eye(ambient_dim))
+
+    def membership_residual(self, x):
+        # The coordinates are x itself, so clamp without the basis product.
+        X, single = _as_batch(x, self.dim)
+        res = np.maximum(0.0, -X.min(axis=1)) / _scales(X)
         return self._finish(res, single)
 
 
@@ -290,8 +285,6 @@ def leq(cone, x, y, tol=DEFAULT_TOL):
 
 def negate(cone):
     """The cone -K, exactly, in a closed-form representation."""
-    if isinstance(cone, Orthant):
-        return Simplicial(-np.eye(cone.dim))
     if isinstance(cone, Simplicial):
         return Simplicial(-cone.basis)
     if isinstance(cone, Lorentz):
@@ -306,13 +299,11 @@ def negate(cone):
 def polar(cone):
     """The polar cone {y : <x, y> <= 0 for all x in K}, exactly.
 
-    Orthant and Lorentz polars are sign flips, simplicial polars use the
-    inverse-transpose basis, generator form dualizes to halfspaces, and
-    halfspace form dualizes through ray enumeration unless the normal
-    matrix is square and invertible.
+    Simplicial polars (the orthant's among them) use the inverse-transpose
+    basis, Lorentz polars are sign flips, generator form dualizes to
+    halfspaces, and halfspace form dualizes through ray enumeration unless
+    the normal matrix is square and invertible.
     """
-    if isinstance(cone, Orthant):
-        return Simplicial(-np.eye(cone.dim))
     if isinstance(cone, Simplicial):
         return Simplicial(-cone.basis_inv.T)
     if isinstance(cone, Lorentz):
@@ -333,7 +324,7 @@ def polar(cone):
 
 def is_generating(cone):
     """True iff K - K spans the whole space (numerical rank test)."""
-    if isinstance(cone, (Orthant, Simplicial, Lorentz)):
+    if isinstance(cone, (Simplicial, Lorentz)):
         return True
     if isinstance(cone, PolyhedralGenerators):
         sv = np.linalg.svd(cone.vectors, compute_uv=False)
@@ -347,7 +338,7 @@ def is_generating(cone):
 
 def is_pointed(cone, tol=DEFAULT_TOL):
     """True iff K contains no line (K meets -K only at the origin)."""
-    if isinstance(cone, (Orthant, Simplicial, Lorentz)):
+    if isinstance(cone, (Simplicial, Lorentz)):
         return True
     if isinstance(cone, PolyhedralHalfspaces):
         N = cone.normals
@@ -380,8 +371,6 @@ def sample_simplicial(dim, rng_seed, cond_cap=100.0):
 
 def to_halfspaces(cone):
     """Exact halfspace form for orthant/simplicial cones; identity otherwise."""
-    if isinstance(cone, Orthant):
-        return PolyhedralHalfspaces(np.eye(cone.dim))
     if isinstance(cone, Simplicial):
         return PolyhedralHalfspaces(cone.basis_inv)
     if isinstance(cone, PolyhedralHalfspaces):
@@ -391,8 +380,6 @@ def to_halfspaces(cone):
 
 def generators_of(cone):
     """Generator rows for a polyhedral cone (ray enumeration for halfspaces)."""
-    if isinstance(cone, Orthant):
-        return np.eye(cone.dim)
     if isinstance(cone, Simplicial):
         return cone.basis.T.copy()
     if isinstance(cone, PolyhedralGenerators):

@@ -12,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import oracle
-from .cones import (DEFAULT_TOL, ConeSpec, Lorentz, Orthant, PolyhedralGenerators,
-                    PolyhedralHalfspaces, Simplicial, _as_batch, as_vector,
-                    cone_from_json, cone_to_json, negate, polar, to_halfspaces)
+from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfspaces,
+                    Simplicial, _as_batch, as_vector, cone_from_json, cone_to_json,
+                    negate, polar, to_halfspaces)
 
 _ORTHO_RTOL = 1e-12
 
@@ -36,13 +36,11 @@ def _lorentz_closed_form(X):
 def _projector(cone):
     """Vectorized metric projector onto a supported cone.
 
-    Orthant and Lorentz cones use closed forms, simplicial bases with
-    orthogonal columns clamp scaled coordinates (exact, and much cheaper
-    than enumeration), and all remaining polyhedral cones go through face
-    enumeration.
+    Lorentz cones use a closed form, simplicial bases with orthogonal
+    columns (the orthant among them) clamp scaled coordinates (exact, and
+    much cheaper than enumeration), and all remaining polyhedral cones go
+    through face enumeration.
     """
-    if isinstance(cone, Orthant):
-        return lambda X: np.clip(X, 0.0, None)
     if isinstance(cone, Lorentz):
         if cone.negated:
             return lambda X: -_lorentz_closed_form(-X)
@@ -128,15 +126,9 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
     minus the clamp of the negated coordinates, so m + n = I holds up to
     roundtrip rounding rather than by construction.
     """
-    if isinstance(cone, Orthant):
-        simp = Simplicial(np.eye(cone.dim))
-        cone_m: ConeSpec = cone
-    elif isinstance(cone, Simplicial):
-        simp = cone
-        cone_m = cone
-    else:
+    if not isinstance(cone, Simplicial):
         raise ValueError("lattice pair requires a simplicial (or orthant) cone")
-    A, invA = simp.basis, simp.basis_inv
+    A, invA = cone.basis, cone.basis_inv
 
     def m_map(X):
         return np.clip(X @ invA.T, 0.0, None) @ A.T
@@ -144,16 +136,13 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
     def n_map(X):
         return -(np.clip(-(X @ invA.T), 0.0, None) @ A.T)
 
-    return RetractionPair("lattice", cone_m, negate(simp), m_map, n_map, tol=tol,
+    return RetractionPair("lattice", cone, negate(cone), m_map, n_map, tol=tol,
                           descriptor={"family": "lattice", "cone": cone_to_json(cone)})
 
 
 def moreau_pair(cone, tol=DEFAULT_TOL):
     """Projection pair (onto K, onto the polar of K); both maps are metric
     projections computed independently, so m + n = I is a checkable fact."""
-    if not isinstance(cone, (Orthant, Simplicial, Lorentz, PolyhedralGenerators,
-                             PolyhedralHalfspaces)):
-        raise ValueError(f"unsupported cone: {cone!r}")
     pol = polar(cone)
     return RetractionPair("moreau", cone, pol, _projector(cone), _projector(pol),
                           tol=tol,

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import (Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
-                    Simplicial, generators_of)
+from .cones import (Lorentz, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
+                    generators_of)
 
 
 def rng_for(seed, key=""):
@@ -24,8 +24,6 @@ def gaussian_points(rng, n, dim):
 def cone_members(cone, rng, n):
     """Random members of the cone, O(1) norms, built from generator data."""
     m = cone.dim
-    if isinstance(cone, Orthant):
-        return np.abs(rng.standard_normal((n, m))) / np.sqrt(m)
     if isinstance(cone, Simplicial):
         coeff = np.abs(rng.standard_normal((n, m))) / np.sqrt(m)
         return coeff @ cone.basis.T

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Orthant, Simplicial, as_vector, leq
+from .cones import Simplicial, as_vector, leq
 from .properties import _Check, _norm_status, _sup_commutes, sup_m
 from .sampling import cone_members, gaussian_points, rng_for
 
@@ -83,8 +83,6 @@ class SupTrace:
 def closed_form_sup(cone, u, v):
     """Supremum of {u, v} in a simplicial cone order: the coordinatewise
     maximum in the cone's basis."""
-    if isinstance(cone, Orthant):
-        return np.maximum(as_vector(u, cone.dim), as_vector(v, cone.dim))
     if not isinstance(cone, Simplicial):
         raise ValueError("closed-form supremum requires a simplicial cone")
     uv = as_vector(u, cone.dim)

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from conelab import (DEFAULT_TOL, Lorentz, Orthant, PolyhedralGenerators,
                      PolyhedralHalfspaces, Simplicial, ToleranceConfig,
-                     cone_from_json, cone_to_json, contains, is_generating,
-                     is_pointed, leq, negate, polar, sample_simplicial)
+                     closed_form_sup, cone_from_json, cone_to_json, contains,
+                     generators_of, is_generating, is_pointed, lattice_pair, leq,
+                     moreau_pair, negate, polar, project_cone, sample_simplicial,
+                     to_halfspaces)
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))  # columns (1,0), (1,1)
@@ -209,6 +211,46 @@ def test_dimension_caps():
         Simplicial(np.eye(17))
     with pytest.raises(ValueError):
         polar(PolyhedralHalfspaces(np.random.default_rng(0).standard_normal((3, 11))))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_orthant_is_identity_basis_simplicial(d):
+    orth, simp = Orthant(d), Simplicial(np.eye(d))
+    assert isinstance(orth, Simplicial) and "membership_residual" in Orthant.__dict__
+    rng = rng_for(d, "orthant-identity")
+    X = gaussian_points(rng, 64, d)
+    Y = gaussian_points(rng, 64, d)
+    _same_bits(cone_members(orth, rng_for(d, "members"), 64),
+               cone_members(simp, rng_for(d, "members"), 64))
+    _same_bits(project_cone(orth, X), project_cone(simp, X))
+    _same_bits(polar(orth).basis, polar(simp).basis)
+    _same_bits(negate(orth).basis, negate(simp).basis)
+    _same_bits(to_halfspaces(orth).normals, to_halfspaces(simp).normals)
+    _same_bits(generators_of(orth), generators_of(simp))
+    _same_bits(closed_form_sup(orth, X[0], Y[0]), closed_form_sup(simp, X[0], Y[0]))
+    _same_bits(orth.membership_residual(X), simp.membership_residual(X))
+    for make in (lattice_pair, moreau_pair):
+        a, b = make(orth), make(simp)
+        _same_bits(a.m(X), b.m(X))
+        _same_bits(a.n(X), b.n(X))
+    # The identity basis reproduces the orthant's own closed forms exactly.
+    _same_bits(project_cone(orth, X), np.clip(X, 0.0, None))
+    _same_bits(closed_form_sup(orth, X[0], Y[0]), np.maximum(X[0], Y[0]))
+    _same_bits(polar(orth).basis, -np.eye(d))
+    _same_bits(generators_of(orth), np.eye(d))
+    assert cone_to_json(orth) == {"type": "orthant", "dim": d}
+
+
+@pytest.mark.parametrize("dim", [0, 17, 10**9, 2.0, "3"])
+def test_orthant_rejects_dimension_before_building_basis(dim):
+    with pytest.raises(ValueError, match="orthant dimension must be in 1..16"):
+        Orthant(dim)
 
 
 def test_tolerance_config_validation():
