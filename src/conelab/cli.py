@@ -21,6 +21,7 @@ from . import properties
 from .cones import ToleranceConfig, _as_int, as_vector, cone_from_json, is_generating
 from .properties import PASS, catalogue_for, run_catalogue
 from .retractions import moreau_pair, pair_from_json
+from .sampling import gaussian_points, rng_for
 from .suprema import iterative_sup, lex_demo
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
@@ -147,9 +148,9 @@ def _demo_minkowski(samples, seed, tol, descriptor):
 
     # Empirical shape of the n-range: defect coefficients of the order-unit
     # functional, and convexity probes of {x : phi(x) = 0}.
-    rng = np.random.default_rng((seed, 7))
-    X = rng.standard_normal((samples, pair.dim)) / np.sqrt(pair.dim)
-    Y = rng.standard_normal((samples, pair.dim)) / np.sqrt(pair.dim)
+    rng = rng_for(seed, "demo-minkowski")
+    X = gaussian_points(rng, samples, pair.dim)
+    Y = gaussian_points(rng, samples, pair.dim)
     defect = pair.phi(X) + pair.phi(Y) - pair.phi(X + Y)
     Z1, Z2 = pair.n(X), pair.n(Y)
     phi_sum = pair.phi(Z1 + Z2)
@@ -199,19 +200,28 @@ def cmd_demo(config, args, tol):
         raise ValueError(f"unknown demo: {name!r} (choose from {', '.join(_DEMO_NAMES)})")
     if "pair" in config and name != "minkowski":
         raise ValueError(f"demo {name} reads no 'pair'; only demo minkowski does")
-    # demo lex draws nothing, but its report still echoes samples and seed.
-    samples, seed = _samples_seed(config, args)
     if name == "lex":
+        # lex_demo compares exact sequences exactly: it draws nothing and
+        # reads no tolerance.
+        given = ([key for key in ("samples", "seed", "tolerances") if key in config]
+                 + [f"--{flag}" for flag in ("samples", "seed", "tol")
+                    if getattr(args, flag) is not None])
+        if given:
+            raise ValueError(f"demo lex reads no samples, seed or tolerances, "
+                             f"got {', '.join(given)}")
         body = lex_demo(n_terms=100)
         ok = bool(body["certified"])
-    elif name == "minkowski":
-        body, ok = _demo_minkowski(samples, seed, tol,
-                                   config.get("pair") or _DEFAULT_PAIRS["minkowski"])
+        report = {}
     else:
-        body, ok = _demo_moreau_subadd(samples, seed, tol)
-    report = {"command": "demo", "name": name, "samples": samples, "seed": seed,
-              "tolerances": tol.to_json_dict(), "report": body,
-              "verdict": "pass" if ok else "fail"}
+        samples, seed = _samples_seed(config, args)
+        if name == "minkowski":
+            body, ok = _demo_minkowski(samples, seed, tol,
+                                       config.get("pair") or _DEFAULT_PAIRS["minkowski"])
+        else:
+            body, ok = _demo_moreau_subadd(samples, seed, tol)
+        report = {"samples": samples, "seed": seed, "tolerances": tol.to_json_dict()}
+    report.update({"command": "demo", "name": name, "report": body,
+                   "verdict": "pass" if ok else "fail"})
     human = f"demo {name}: {'certified' if ok else 'NOT certified'}\n"
     return ok, {"json": lambda: _dump_json(report), "human": lambda: human + _dump_json(body)}
 

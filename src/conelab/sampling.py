@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from .cones import (Lorentz, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
                     generators_of)
 
 
-def rng_for(seed, key=""):
-    """Deterministic generator; distinct streams per (seed, key)."""
-    if key:
-        tag = int.from_bytes(key.encode("utf-8"), "little") % (2**63)
-        return np.random.default_rng((int(seed), tag))
-    return np.random.default_rng(int(seed))
+def rng_for(seed, key):
+    """Deterministic generator; independent streams per (seed, key).
+
+    The key enters through a 64-bit hash of all its bytes, so keys that share
+    a prefix (``subadditive-m``, ``subadditive-n``) draw different samples.
+    """
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    return np.random.default_rng((int(seed), int.from_bytes(digest, "little")))
 
 
 def gaussian_points(rng, n, dim):

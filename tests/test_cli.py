@@ -131,6 +131,7 @@ def test_demo_lex(tmp_path):
     assert rep["verdict"] == "pass"
     assert rep["report"]["terms"] == 100
     assert len(rep["report"]["candidates"]) == 10
+    assert not {"samples", "seed", "tolerances"} & set(rep)
 
 
 def test_demo_minkowski(tmp_path):
@@ -206,7 +207,7 @@ def test_bad_samples_or_seed_exit_two(tmp_path, capsys, command, key, value):
     if command == "verify":
         config["pair"] = {"family": "lattice", "cone": {"type": "orthant", "dim": 2}}
     elif command == "demo":
-        config["name"] = "lex"
+        config["name"] = "moreau-subadd"
     else:
         config["pairs"] = [{"family": "lattice", "cone": {"type": "orthant", "dim": 2}}]
     cfg = tmp_path / "cfg.json"
@@ -249,8 +250,16 @@ _SUP_CONFIG = {"pair": _LATTICE_2, "u": [1.0, 0.0], "v": [0.0, 1.0]}
     (["batch"], {"pairs": [_LATTICE_2], "samples": 20, "format": "human"}),
     (["demo"], {"name": "moreau-subadd", "samples": 20, "pair": _LATTICE_2}),
     (["demo"], {"name": "lex", "pair": _LATTICE_2}),
+    (["demo", "--samples", "5"], {"name": "lex"}),
+    (["demo", "--seed", "1"], {"name": "lex"}),
+    (["demo", "--tol", "1e-6"], {"name": "lex"}),
+    (["demo"], {"name": "lex", "samples": 5}),
+    (["demo"], {"name": "lex", "seed": 1}),
+    (["demo"], {"name": "lex", "tolerances": {"membership": 1e-6}}),
 ], ids=["sup-seed-flag", "sup-samples-flag", "sup-seed-key", "verify-format-xml",
-        "demo-format-xml", "batch-format-human", "demo-moreau-subadd-pair", "demo-lex-pair"])
+        "demo-format-xml", "batch-format-human", "demo-moreau-subadd-pair", "demo-lex-pair",
+        "demo-lex-samples-flag", "demo-lex-seed-flag", "demo-lex-tol-flag",
+        "demo-lex-samples-key", "demo-lex-seed-key", "demo-lex-tolerances-key"])
 def test_inputs_a_command_does_not_read_exit_two(tmp_path, capsys, args, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -3,7 +3,7 @@ import pytest
 
 from conelab import (Lorentz, Orthant, RetractionPair, Simplicial, lattice_pair,
                      minkowski_pair, moreau_pair, sample_simplicial)
-from conelab import properties, suprema
+from conelab import properties, sampling, suprema
 from conelab.cones import DEFAULT_TOL
 from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempotence,
                                 check_isotone, check_mutual_polarity,
@@ -294,3 +294,21 @@ def test_run_catalogue_calls_checkers_by_current_name(monkeypatch):
     reports = run_catalogue(lattice_pair(Orthant(2)), 20, seed=0)
     assert calls == ["ranges", "chain"]
     assert reports[0] == "ranges-report" and reports[-1] == "chain-report"
+
+
+def test_every_catalogue_key_draws_its_own_stream(monkeypatch):
+    """Each check seeds its stream by its catalogue key, and no two keys share
+    a stream, not even keys with a common prefix (subadditive-m and -n)."""
+    keys = []
+
+    def recording(seed, key):
+        keys.append(key)
+        return sampling.rng_for(seed, key)
+
+    monkeypatch.setattr(properties, "rng_for", recording)
+    monkeypatch.setattr(suprema, "rng_for", recording)
+    run_catalogue(lattice_pair(Orthant(2)), 4, seed=0)
+    assert sorted(keys) == sorted(key for key, _, _ in CATALOGUE)
+    for seed in (0, 1, 2**31):
+        firsts = {sampling.rng_for(seed, key).standard_normal(4).tobytes() for key in keys}
+        assert len(firsts) == len(keys)
