@@ -20,9 +20,6 @@ MAX_DIM = 16
 MAX_DD_DIM = 10
 MAX_DD_HALFSPACES = 12
 
-# Relative gap below which two candidate distances count as a tie; the
-# canonical candidate (smallest face, then lexicographic) wins ties.
-_TIE_REL = 1e-12
 _RANK_RTOL = 1e-12
 # Feasibility slack of a candidate ray against the row-normalized normals.
 _FEAS_TOL = 1e-9
@@ -138,7 +135,7 @@ class FaceTable:
             d2 = np.where(feasible, d2, np.inf)
             gi = d2.argmin(axis=0)
             gd = d2[gi, rows]
-            better = gd < best_d2 - _TIE_REL * (1.0 + best_d2)
+            better = gd < best_d2  # exact ties keep the smaller, earlier face
             if np.any(better):
                 best_d2[better] = gd[better]
                 best_sub[better] = offset + gi[better]

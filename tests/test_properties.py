@@ -1,8 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
-from conelab import (Lorentz, Orthant, RetractionPair, Simplicial, lattice_pair,
-                     minkowski_pair, moreau_pair, sample_simplicial)
+from conelab import (Lorentz, Orthant, PolyhedralGenerators, RetractionPair, Simplicial,
+                     lattice_pair, minkowski_pair, moreau_pair, sample_simplicial)
 from conelab import properties, sampling, suprema
 from conelab.cones import DEFAULT_TOL
 from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempotence,
@@ -312,3 +314,59 @@ def test_every_catalogue_key_draws_its_own_stream(monkeypatch):
     for seed in (0, 1, 2**31):
         firsts = {sampling.rng_for(seed, key).standard_normal(4).tobytes() for key in keys}
         assert len(firsts) == len(keys)
+
+
+def _two_point_fit(residual, arrays):
+    """(s, c) of 1/r(t) = s/t + c from the residual at scales 1 and 1/2."""
+    r1 = residual(*arrays)
+    rh = residual(*(0.5 * a for a in arrays))
+    return 1.0 / rh - 1.0 / r1, 2.0 / r1 - 1.0 / rh
+
+
+@pytest.mark.parametrize("which", ["m", "n"])
+def test_face_table_subadditivity_residual_is_homogeneous(which):
+    # FaceTable projections are positively homogeneous, so the relative
+    # residual of a witness scaled by t is t a / (1 + t b): the fit through
+    # t = 1 and t = 1/2 predicts it at every scale.
+    pair = moreau_pair(SKEW)
+    R, _, cone = properties._side(pair, which)
+    residual = properties._subadditivity(R, cone)
+    rep = check_subadditive(pair, which, 300, seed=1)
+    assert rep.witnesses
+    ts = np.logspace(-8, 8, 33)
+    for w in rep.witnesses:
+        arrays = [np.array([w["x"]]), np.array([w["y"]])]
+        s, c = _two_point_fit(residual, arrays)
+        got = np.array([residual(*(t * a for a in arrays))[0] for t in ts])
+        predicted = ts / (s + c * ts)
+        np.testing.assert_allclose(got, predicted, rtol=1e-10, atol=0.0)
+
+
+def _rotated_orthant(seed, dim, redundant, index):
+    """Generators of a rotated orthant with unequal lengths plus redundant
+    interior generators, drawn as the ``project-polyhedral`` benchmark
+    draws its cones (shapes (5, 4), (6, 3), (7, 2), three cones each)."""
+    rng = np.random.default_rng([seed, zlib.crc32(b"project-polyhedral")])
+    for d, r in ((5, 4), (6, 3), (7, 2)):
+        for i in range(3):
+            Q, Rq = np.linalg.qr(rng.standard_normal((d, d)))
+            Q = Q * np.sign(np.diag(Rq))
+            G = (Q * rng.uniform(0.5, 2.0, d)).T
+            V = np.vstack([G, rng.uniform(0.2, 1.0, (r, d)) @ G])
+            rng.standard_normal((1000, d))
+            if (d, r, i) == (dim, redundant, index):
+                return V
+    raise ValueError("no such cone")
+
+
+# A Moreau pair on a rotated orthant is a lattice pair, so every catalogue
+# check passes.  Each case failed while FaceTable broke near-ties in favour
+# of a smaller face up to 1e-12 (1 + d^2) away in squared distance.
+@pytest.mark.parametrize("shape, seed", [((5, 4, 0), 4), ((7, 2, 0), 1), ((7, 2, 0), 5),
+                                         ((7, 2, 1), 2)],
+                         ids=["5x4-0-seed4", "7x2-0-seed1", "7x2-0-seed5", "7x2-1-seed2"])
+def test_moreau_pair_on_rotated_orthant_passes_catalogue(shape, seed):
+    pair = moreau_pair(PolyhedralGenerators(_rotated_orthant(1, *shape)))
+    failed = [(r.property_id, r.verdict) for r in run_catalogue(pair, 200, seed)
+              if r.verdict != "pass"]
+    assert failed == []
