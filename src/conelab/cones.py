@@ -72,7 +72,7 @@ def as_vector(x, dim=None):
     v = _as_numbers(x, "vector")
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of ndim {v.ndim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has NaN/Inf entries")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.shape[0]}")
@@ -91,7 +91,7 @@ def _as_int(x, name, minimum=None):
 def _as_batch(x, dim):
     """Return (points (n, dim), single_flag) for vector or batch input."""
     a = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("input has NaN/Inf entries")
     if a.ndim == 1:
         if a.shape[0] != dim:
@@ -106,6 +106,32 @@ def _as_batch(x, dim):
 
 def _scales(X):
     return 1.0 + np.linalg.norm(X, axis=1)
+
+
+# A batch whose largest entry lies outside [_TINY, _HUGE) is rescaled before
+# its residual is taken: squared entries overflow from 2^512 and lose bits to
+# underflow below 2^-511.
+_TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
+
+
+def _relative(violation, X):
+    """``violation(X) / (1 + |x|)`` per row, for a positively homogeneous
+    violation.
+
+    When the largest entry of the batch lies outside [2^-500, 2^500), each
+    row is first scaled by a power of two to a largest entry in [0.5, 1),
+    and 1 + |x| with it.  That scaling is exact, so the quotient rounds as
+    the unscaled one does wherever that neither overflows nor underflows;
+    testing the whole batch first keeps single-vector calls cheap.
+    """
+    A = np.abs(X)
+    top = float(A.max(initial=0.0))
+    if top == 0.0 or _TINY <= top < _HUGE:
+        return violation(X) / (1.0 + np.linalg.norm(X, axis=1))
+    _, e = np.frexp(A.max(axis=1))
+    e = np.maximum(e, -1021)  # subnormal rows: keep 2^-e finite
+    U = np.ldexp(X, -e[:, None])
+    return violation(U) / (np.ldexp(1.0, -e) + np.linalg.norm(U, axis=1))
 
 
 def _readonly(a):
@@ -167,8 +193,7 @@ class Simplicial(ConeSpec):
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        C = X @ self.basis_inv.T
-        res = np.maximum(0.0, -C.min(axis=1)) / _scales(X)
+        res = _relative(lambda X: np.maximum(0.0, -(X @ self.basis_inv.T).min(axis=1)), X)
         return self._finish(res, single)
 
 
@@ -184,7 +209,7 @@ class Orthant(Simplicial):
     def membership_residual(self, x):
         # The coordinates are x itself, so clamp without the basis product.
         X, single = _as_batch(x, self.dim)
-        res = np.maximum(0.0, -X.min(axis=1)) / _scales(X)
+        res = _relative(lambda X: np.maximum(0.0, -X.min(axis=1)), X)
         return self._finish(res, single)
 
 
@@ -206,10 +231,9 @@ class Lorentz(ConeSpec):
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        if self.negated:
-            X = -X
-        r = np.linalg.norm(X[:, :-1], axis=1)
-        res = np.maximum(0.0, r - X[:, -1]) / _scales(X)
+        sign = -1.0 if self.negated else 1.0
+        res = _relative(lambda X: np.maximum(0.0, np.linalg.norm(X[:, :-1], axis=1)
+                                             - sign * X[:, -1]), X)
         return self._finish(res, single)
 
 
@@ -236,8 +260,8 @@ class PolyhedralGenerators(ConeSpec):
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        P, _ = self._table().project(X)
-        res = np.linalg.norm(X - P, axis=1) / _scales(X)
+        table = self._table()
+        res = _relative(lambda X: np.linalg.norm(X - table.project(X)[0], axis=1), X)
         return self._finish(res, single)
 
 
@@ -266,8 +290,7 @@ class PolyhedralHalfspaces(ConeSpec):
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
         unit = self.normals / np.linalg.norm(self.normals, axis=1, keepdims=True)
-        viol = np.maximum(0.0, -(X @ unit.T)).max(axis=1)
-        res = viol / _scales(X)
+        res = _relative(lambda X: np.maximum(0.0, -(X @ unit.T)).max(axis=1), X)
         return self._finish(res, single)
 
 

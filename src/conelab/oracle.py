@@ -105,11 +105,16 @@ class FaceTable:
         """Project a batch of points; returns (projections, winner indices).
 
         ``points`` has shape (n, dim); winners index into ``self.subsets``.
+        Each row is projected scaled by a power of two to a largest entry in
+        [0.5, 1) and scaled back: exact, since the projection is positively
+        homogeneous, and free of overflow in the squared distances.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         n = X.shape[0]
         if X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {X.shape[1]}")
+        _, e = np.frexp(np.abs(X).max(axis=1))
+        X = np.ldexp(X, -e[:, None])
         best_p = np.zeros_like(X)
         best_d2 = np.einsum("ij,ij->i", X, X)  # empty subset: origin
         best_sub = np.zeros(n, dtype=int)
@@ -118,7 +123,7 @@ class FaceTable:
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             self._project_chunk(X[lo:hi], best_p[lo:hi], best_d2[lo:hi], best_sub[lo:hi])
-        return best_p, best_sub
+        return np.ldexp(best_p, e[:, None]), best_sub
 
     def _project_chunk(self, X, best_p, best_d2, best_sub):
         XT = X.T

@@ -294,3 +294,42 @@ def test_leq_antisymmetry_at_tolerance():
     for a, b in zip(x, y):
         if leq(SIMP, a, b) and leq(SIMP, b, a):
             assert np.linalg.norm(a - b) <= 1e-7 * (1.0 + np.linalg.norm(a))
+
+
+# Scales from 1e-300 to 1e300, and powers of two across the same range.
+_SCALES = np.concatenate([np.logspace(-300, 300, 25), np.ldexp(1.0, np.arange(-996, 997, 83))])
+
+
+@pytest.mark.parametrize("cone", [Orthant(3), Simplicial(np.array([[1.0, 1.0, 0.0],
+                                                                   [0.0, 1.0, 1.0],
+                                                                   [0.0, 0.0, 1.0]])),
+                                  Lorentz(3), Lorentz(3, negated=True),
+                                  PolyhedralGenerators(np.array([[1.0, 0.0, 0.0],
+                                                                 [1.0, 1.0, 0.0],
+                                                                 [0.0, 1.0, 1.0],
+                                                                 [1.0, 1.0, 1.0]])),
+                                  PolyhedralHalfspaces(np.array([[1.0, 0.0, 0.0],
+                                                                 [-1.0, 1.0, 0.0],
+                                                                 [0.0, -1.0, 1.0]]))],
+                         ids=["orthant", "simplicial", "lorentz", "lorentz-negated",
+                              "generators", "halfspaces"])
+def test_membership_residual_across_scales(cone):
+    # The violation is positively homogeneous and the residual divides it by
+    # 1 + |x|, so at scale s it is s a / (1 + s |x|), with a fixed at s = 1;
+    # up to rounding of the violation, which is of order 1e-16 |x|.
+    X = gaussian_points(rng_for(3, "scales"), 40, 3)
+    norms = np.linalg.norm(X, axis=1)
+    a = cone.membership_residual(X) * (1.0 + norms)
+    assert (a > 0.1).any() and (a < 1e-14).any()
+    for s in _SCALES:
+        denom = 1.0 / s + norms
+        err = np.abs(cone.membership_residual(s * X) - a / denom)
+        assert (err <= (1e-12 * a + 1e-14 * norms) / denom).all(), s
+
+
+def test_membership_of_huge_and_tiny_points():
+    for s in _SCALES:
+        assert contains(Lorentz(3), [s, 0.0, s])
+        assert contains(Orthant(2), [s, 0.0])
+        assert contains(Orthant(2), [-s, 0.0]) == (s < 1e-7)
+    assert Lorentz(3).membership_residual([1e200, 0.0, -1e200]) == pytest.approx(np.sqrt(2.0))

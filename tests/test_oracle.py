@@ -132,3 +132,21 @@ def test_redundant_generators_handled():
     G = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 1.0]])
     cert = brute_force_project(G, [0.0, 1.0])
     np.testing.assert_allclose(cert.point, [0.5, 0.5], atol=1e-12)
+
+
+def test_face_table_projection_across_scales():
+    # Projection is positively homogeneous: exact under power-of-two
+    # scaling, to rounding of the scaled input otherwise.
+    table = FaceTable(WEDGE)
+    P, _ = table.project([[3e160, -1e160]])
+    np.testing.assert_array_equal(P, [[3e160, 0.0]])
+    X = gaussian_points(rng_for(2, "scales"), 40, 2)
+    P1, S1 = table.project(X)
+    for s in np.ldexp(1.0, np.arange(-996, 997, 83)):
+        Ps, Ss = table.project(s * X)
+        np.testing.assert_array_equal(Ps, s * P1)
+        np.testing.assert_array_equal(Ss, S1)
+    for s in np.logspace(-300, 300, 25):
+        Ps, Ss = table.project(s * X)
+        np.testing.assert_allclose(Ps, s * P1, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(Ss, S1)
