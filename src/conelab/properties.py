@@ -13,10 +13,12 @@ Each residual is defined once, as a function of row batches that returns
 one value per row: a checker evaluates it on all samples, and witness
 shrinking and replay evaluate the same function on witness rows.
 
-Failures carry replayable witnesses (the original sample, plus a
-bisection-shrunk variant for readability).  Checkers are deterministic
-functions of (pair, n_samples, seed); witnesses are sorted by norm and
-then lexicographically, so reports are schedule-invariant.
+Failures carry replayable witnesses: the original sample, plus the same
+sample scaled to just above its smallest failing scale, which the positive
+homogeneity of the maps gives in closed form (see :func:`_shrink`).
+Checkers are deterministic functions of (pair, n_samples, seed); witnesses
+are sorted by norm and then lexicographically, so reports are
+schedule-invariant.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 ALGEBRA_ABS_TOL = 1e-12
 
 _WITNESS_CAP = 8
+# Bisection steps for witness rows whose closed-form smallest failing scale
+# does not confirm, and the relative margin of that confirmation.
 _SHRINK_STEPS = 20
+_CONFIRM_REL = 1e-7
 
 # Witness order is keyed on the 1-D norm of the first input, which can
 # differ from a batch row norm by a few ulps; every failing row whose batch
@@ -78,25 +83,64 @@ def _norm_status(res, eps):
     return out
 
 
+def _scaled(arrays, t):
+    """Each input with its rows scaled by the matching entry of ``t``."""
+    return [t[:, None] * a for a in arrays]
+
+
+def _two_scales(arrays, t, u):
+    """Each input with its rows scaled by ``t``, stacked over the same rows
+    scaled by ``u``: one batch for two scales."""
+    return [np.concatenate(p) for p in zip(_scaled(arrays, t), _scaled(arrays, u))]
+
+
+def _bisect(residual, arrays, threshold):
+    """Scale of each row after bisecting (0, 1] toward the smallest scale
+    that still fails; all rows are bisected together, one batch per step."""
+    lo = np.zeros(arrays[0].shape[0])
+    hi = np.ones(arrays[0].shape[0])
+    for _ in range(_SHRINK_STEPS):
+        mid = 0.5 * (lo + hi)
+        fails = residual(*_scaled(arrays, mid)) > threshold
+        hi = np.where(fails, mid, hi)
+        lo = np.where(fails, lo, mid)
+    return hi
+
+
 def _shrink(residual, arrays, threshold):
-    """Bisect the scale of each failing witness row toward the smallest norm
-    that still fails; maps are positively homogeneous, so scaling is
-    faithful.  All rows are bisected together, one batch per step.
+    """Scale each failing witness row to just above its smallest failing scale.
+
+    The maps are positively homogeneous and each residual is relative to
+    1 + a norm, so a row scaled by t has residual r(t) = t a / (1 + t b),
+    and 1/r = s/t + c is affine in 1/t.  One batch at t = 1 and t = 1/2
+    fits s and c, which give the smallest failing scale
+    t* = s / (1/threshold - c).
+    A second batch confirms that t* (1 + 1e-7) fails and t* (1 - 1e-7)
+    does not, and the row is reported at t* (1 + 1e-7).  Rows that do not
+    confirm, such as those of a residual with an eps-scaled antecedent,
+    are bisected instead.
 
     Returns the scaled rows and the residual of each, evaluated on its own
     1-row batch as a replay of that witness does: a k-row matmul can round
     differently in the last digit from a 1-row one.
     """
-    lo = np.zeros(arrays[0].shape[0])
-    hi = np.ones(arrays[0].shape[0])
-    for _ in range(_SHRINK_STEPS):
-        mid = 0.5 * (lo + hi)
-        fails = residual(*(mid[:, None] * a for a in arrays)) > threshold
-        hi = np.where(fails, mid, hi)
-        lo = np.where(fails, lo, mid)
-    scaled = [hi[:, None] * a for a in arrays]
-    return scaled, [float(residual(*(a[i:i + 1] for a in scaled))[0])
-                    for i in range(hi.size)]
+    k = arrays[0].shape[0]
+    r = residual(*_two_scales(arrays, np.ones(k), np.full(k, 0.5)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_one, inv_half = 1.0 / r[:k], 1.0 / r[k:]
+        t = (inv_half - inv_one) / (1.0 / threshold - (2.0 * inv_one - inv_half))
+        up, down = t * (1.0 + _CONFIRM_REL), t * (1.0 - _CONFIRM_REL)
+        fitted = np.flatnonzero(np.isfinite(t) & (t > 0.0) & (up < 1.0))
+    confirmed = np.zeros(k, dtype=bool)
+    if fitted.size:
+        rc = residual(*_two_scales([a[fitted] for a in arrays], up[fitted], down[fitted]))
+        n = fitted.size
+        confirmed[fitted[(rc[:n] > threshold) & (rc[n:] <= threshold)]] = True
+    scale = np.where(confirmed, up, 1.0)
+    if not confirmed.all():
+        scale[~confirmed] = _bisect(residual, [a[~confirmed] for a in arrays], threshold)
+    scaled = _scaled(arrays, scale)
+    return scaled, [float(residual(*(a[i:i + 1] for a in scaled))[0]) for i in range(k)]
 
 
 class _Check:

@@ -213,17 +213,17 @@ def test_report_json_shape():
     assert set(d["tolerances"]) == {"membership", "equal", "converge"}
 
 
-def _reference_shrink(replay, arrays, threshold):
-    """One witness at a time: 20 single-vector replays, then one more."""
+def _smallest_failing_scale(replay, arrays, threshold, steps=60):
+    """Reference: the smallest failing scale in (0, 1] of one witness, by
+    single-vector bisection."""
     lo, hi = 0.0, 1.0
-    for _ in range(20):
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if replay(*(mid * a for a in arrays)) > threshold:
             hi = mid
         else:
             lo = mid
-    scaled = [hi * a for a in arrays]
-    return scaled, replay(*scaled)
+    return hi
 
 
 def _scalar_replays(pair):
@@ -250,7 +250,7 @@ def _scalar_replays(pair):
 
 @pytest.mark.parametrize("cone", [Lorentz(d) for d in range(3, 9)] + [SKEW],
                          ids=[f"lorentz-{d}" for d in range(3, 9)] + ["skew-simplicial"])
-def test_batched_shrink_matches_one_at_a_time(cone):
+def test_shrunk_witness_is_smallest_failing_scale(cone):
     pair = moreau_pair(cone)
     replays = _scalar_replays(pair)
     threshold = 10.0 * pair.tol.eps_membership
@@ -259,12 +259,46 @@ def test_batched_shrink_matches_one_at_a_time(cone):
         for w in rep.witnesses:
             names = [k for k in ("x", "y") if k in w]
             arrays = [np.array(w[k]) for k in names]
-            scaled, res = _reference_shrink(replays[rep.property_id, w["check"]],
-                                            arrays, threshold)
-            assert [w["shrunk"][k] for k in names] == [a.tolist() for a in scaled]
-            assert w["shrunk"]["residual"] == res
+            small = [np.array(w["shrunk"][k]) for k in names]
+            replay = replays[rep.property_id, w["check"]]
+            assert w["shrunk"]["residual"] == replay(*small)
+            assert w["shrunk"]["residual"] > threshold
+            t_ref = _smallest_failing_scale(replay, arrays, threshold)
+            t = np.linalg.norm(small[0]) / np.linalg.norm(arrays[0])
+            assert abs(t / t_ref - 1.0) <= 1e-6
+            assert replay(*((1.0 - 1e-6) * t_ref * a for a in arrays)) <= threshold
             shrunk += 1
     assert shrunk >= 40
+
+
+@pytest.mark.parametrize("residual", [
+    # a step: no fit through t = 1 and t = 1/2
+    lambda X: np.where(np.linalg.norm(X, axis=1) > 0.25, 1.0, 0.0),
+    # |x|^2 / (1 + |x|^2): a fit, but its scale does not confirm
+    lambda X: np.linalg.norm(X, axis=1) ** 2 / (1.0 + np.linalg.norm(X, axis=1) ** 2),
+], ids=["step", "quadratic"])
+def test_shrink_falls_back_to_bisection(monkeypatch, residual):
+    bisected = []
+
+    def spy(residual, arrays, threshold):
+        bisected.append(arrays[0].shape[0])
+        return bisect(residual, arrays, threshold)
+
+    bisect = properties._bisect
+    monkeypatch.setattr(properties, "_bisect", spy)
+    X = np.random.default_rng(3).standard_normal((5, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    chk = _Check()
+    chk.norm("non-homogeneous", residual, {"x": X}, 0.1)
+    witnesses = chk.finish("p", 5, 0, DEFAULT_TOL).witnesses
+    assert bisected == [5]
+    assert len(witnesses) == 5
+    for w in witnesses:
+        x, small = np.array(w["x"]), np.array(w["shrunk"]["x"])
+        assert w["shrunk"]["residual"] == residual(small[None, :])[0] > 0.1
+        t = np.linalg.norm(small) / np.linalg.norm(x)
+        assert t < 0.5
+        assert residual(((t - 2.0 ** -20) * x)[None, :])[0] <= 0.1
 
 
 def test_witness_order_across_labels_and_arities():
