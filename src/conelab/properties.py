@@ -114,11 +114,10 @@ def _shrink(residual, arrays, threshold):
     1 + a norm, so a row scaled by t has residual r(t) = t a / (1 + t b),
     and 1/r = s/t + c is affine in 1/t.  One batch at t = 1 and t = 1/2
     fits s and c, which give the smallest failing scale
-    t* = s / (1/threshold - c).
-    A second batch confirms that t* (1 + 1e-7) fails and t* (1 - 1e-7)
-    does not, and the row is reported at t* (1 + 1e-7).  Rows that do not
-    confirm, such as those of a residual with an eps-scaled antecedent,
-    are bisected instead.
+    t* = s / (1/threshold - c).  A second batch confirms that t* (1 + 1e-7)
+    fails and t* (1 - 1e-7) does not, and the row is reported at
+    t* (1 + 1e-7).  Rows that do not confirm, such as those of a residual
+    with an eps-scaled antecedent, are bisected instead.
 
     Returns the scaled rows and the residual of each, evaluated on its own
     1-row batch as a replay of that witness does: a k-row matmul can round

@@ -278,13 +278,12 @@ def test_shrunk_witness_is_smallest_failing_scale(cone):
     lambda X: np.linalg.norm(X, axis=1) ** 2 / (1.0 + np.linalg.norm(X, axis=1) ** 2),
 ], ids=["step", "quadratic"])
 def test_shrink_falls_back_to_bisection(monkeypatch, residual):
-    bisected = []
+    bisect, bisected = properties._bisect, []
 
-    def spy(residual, arrays, threshold):
+    def spy(f, arrays, threshold):
         bisected.append(arrays[0].shape[0])
-        return bisect(residual, arrays, threshold)
+        return bisect(f, arrays, threshold)
 
-    bisect = properties._bisect
     monkeypatch.setattr(properties, "_bisect", spy)
     X = np.random.default_rng(3).standard_normal((5, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
