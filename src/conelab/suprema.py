@@ -92,10 +92,6 @@ def closed_form_sup(cone, u, v):
     return cone.basis @ np.maximum(cu, cv)
 
 
-def _scaffold_bound(pair, u, v):
-    return pair.m(u) + pair.m(v)
-
-
 def default_upper_bound(pair, u, v):
     """The scaffold upper bound m(u) + m(v) of {u, v}.
 
@@ -113,7 +109,7 @@ def default_upper_bound(pair, u, v):
               float(np.max(pair.cone_m.membership_residual(-members_n))))
     if res > 10.0 * pair.tol.eps_membership:
         raise ValueError("ranges do not negate; scaffold bound is not valid")
-    w = _scaffold_bound(pair, u, v)
+    w = pair.m(u) + pair.m(v)
     if not (leq(pair.cone_m, u, w, pair.tol) and leq(pair.cone_m, v, w, pair.tol)):
         raise ValueError("scaffold bound failed its order contract")
     return w
@@ -143,7 +139,7 @@ def iterative_sup(pair, u, v, max_iter=100):
     cone = pair.cone_m
     m_u = lambda x: sup_m(pair, x, u)  # noqa: E731
     m_v = lambda x: sup_m(pair, x, v)  # noqa: E731
-    w = _scaffold_bound(pair, u, v)
+    w = pair.m(u) + pair.m(v)
 
     u_its = [m_u(v)]
     v_its = []
@@ -253,13 +249,11 @@ def finite_sigma_continuity_check(pair, chain_length=8, seed=0, n_chains=64):
     """
     if chain_length < 1:
         raise ValueError("chain_length must be >= 1")
-    tol = pair.tol
-    starts, residuals = _chain_sup_residuals(pair, rng_for(seed, "monotone-sup-commutes"),
-                                             n_chains, chain_length)
-    chk = _Check()
-    chk.add("chain-sup", None, {"x": starts}, _norm_status(residuals, tol.eps_equal),
-            residuals, tol.eps_equal)
-    return chk.finish("monotone-sup-commutes", n_chains, seed, tol)
+    chk = _Check(pair, "monotone-sup-commutes", seed)
+    starts, residuals = _chain_sup_residuals(pair, chk.rng, n_chains, chain_length)
+    eps = chk.tol.eps_equal
+    chk.add("chain-sup", None, {"x": starts}, _norm_status(residuals, eps), residuals, eps)
+    return chk.finish(n_chains)
 
 
 def _chain_sup_residuals(pair, rng, n_chains, chain_length):

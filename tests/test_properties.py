@@ -6,7 +6,7 @@ import pytest
 from conelab import (Lorentz, Orthant, PolyhedralGenerators, RetractionPair, Simplicial,
                      lattice_pair, minkowski_pair, moreau_pair, sample_simplicial)
 from conelab import properties, sampling, suprema
-from conelab.cones import DEFAULT_TOL
+from conelab.cones import ToleranceConfig
 from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempotence,
                                 check_isotone, check_mutual_polarity,
                                 check_range_kernel, check_range_negation,
@@ -276,28 +276,21 @@ def test_shrunk_witness_is_smallest_failing_scale(cone):
     lambda X: np.where(np.linalg.norm(X, axis=1) > 0.25, 1.0, 0.0),
     # |x|^2 / (1 + |x|^2): a fit, but its scale does not confirm
     lambda X: np.linalg.norm(X, axis=1) ** 2 / (1.0 + np.linalg.norm(X, axis=1) ** 2),
-], ids=["step", "quadratic"])
-def test_shrink_falls_back_to_bisection(monkeypatch, residual):
-    bisect, bisected = properties._bisect, []
-
-    def spy(f, arrays, threshold):
-        bisected.append(arrays[0].shape[0])
-        return bisect(f, arrays, threshold)
-
-    monkeypatch.setattr(properties, "_bisect", spy)
+    # c |x| / (1 + |x|), homogeneous, with t* = 1 - 5e-8 on unit rows: t* (1 + 1e-7) > 1
+    lambda X: 0.1 * (1.0 + 1.0 / (1.0 - 5e-8)) * np.linalg.norm(X, axis=1)
+    / (1.0 + np.linalg.norm(X, axis=1)),
+], ids=["step", "quadratic", "near-one"])
+def test_unconfirmed_witness_is_reported_unshrunk(residual):
     X = np.random.default_rng(3).standard_normal((5, 3))
     X /= np.linalg.norm(X, axis=1, keepdims=True)
-    chk = _Check()
-    chk.norm("non-homogeneous", residual, {"x": X}, 0.1)
-    witnesses = chk.finish("p", 5, 0, DEFAULT_TOL).witnesses
-    assert bisected == [5]
+    chk = _Check(lattice_pair(Orthant(3)), "p", 0)
+    chk.norm("unconfirmed", residual, {"x": X}, 0.1)
+    witnesses = chk.finish(5).witnesses
     assert len(witnesses) == 5
     for w in witnesses:
-        x, small = np.array(w["x"]), np.array(w["shrunk"]["x"])
+        small = np.array(w["shrunk"]["x"])
+        assert w["shrunk"]["x"] == w["x"]
         assert w["shrunk"]["residual"] == residual(small[None, :])[0] > 0.1
-        t = np.linalg.norm(small) / np.linalg.norm(x)
-        assert t < 0.5
-        assert residual(((t - 2.0 ** -20) * x)[None, :])[0] <= 0.1
 
 
 def test_witness_order_across_labels_and_arities():
@@ -307,10 +300,11 @@ def test_witness_order_across_labels_and_arities():
     base = rng.standard_normal((6, 3))
     X = np.vstack([base, base[::-1], base[:, ::-1], np.zeros((2, 3))])
     Y = rng.standard_normal(X.shape)
-    chk = _Check()
-    chk.norm("one", lambda X: 0.0 * X[:, 0] + 1.0, {"x": X}, 0.5)
-    chk.membership("two", lambda X, Y: 0.0 * X[:, 0] + 1.0, {"x": X, "y": Y}, 0.01)
-    got = [(w["check"], w["x"], w.get("y")) for w in chk.finish("p", 1, 0, DEFAULT_TOL).witnesses]
+    pair = lattice_pair(Orthant(3), tol=ToleranceConfig(eps_membership=0.01, eps_equal=0.5))
+    chk = _Check(pair, "p", 0)
+    chk.norm("one", lambda X: 0.0 * X[:, 0] + 1.0, {"x": X})
+    chk.membership("two", lambda X, Y: 0.0 * X[:, 0] + 1.0, {"x": X, "y": Y})
+    got = [(w["check"], w["x"], w.get("y")) for w in chk.finish(1).witnesses]
 
     candidates = [("one", x, None) for x in X] + [("two", x, y) for x, y in zip(X, Y)]
     expected = sorted(candidates, key=lambda c: (
@@ -332,8 +326,9 @@ def test_run_catalogue_calls_checkers_by_current_name(monkeypatch):
 
 
 def test_every_catalogue_key_draws_its_own_stream(monkeypatch):
-    """Each check seeds its stream by its catalogue key, and no two keys share
-    a stream, not even keys with a common prefix (subadditive-m and -n)."""
+    """Each check seeds its stream by its catalogue key and reports under that
+    key, and no two keys share a stream, not even keys with a common prefix
+    (subadditive-m and -n)."""
     keys = []
 
     def recording(seed, key):
@@ -342,8 +337,8 @@ def test_every_catalogue_key_draws_its_own_stream(monkeypatch):
 
     monkeypatch.setattr(properties, "rng_for", recording)
     monkeypatch.setattr(suprema, "rng_for", recording)
-    run_catalogue(lattice_pair(Orthant(2)), 4, seed=0)
-    assert sorted(keys) == sorted(key for key, _, _ in CATALOGUE)
+    reports = run_catalogue(lattice_pair(Orthant(2)), 4, seed=0)
+    assert keys == [r.property_id for r in reports] == [key for key, _, _ in CATALOGUE]
     for seed in (0, 1, 2**31):
         firsts = {sampling.rng_for(seed, key).standard_normal(4).tobytes() for key in keys}
         assert len(firsts) == len(keys)
