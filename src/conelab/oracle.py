@@ -159,6 +159,16 @@ class FaceTable:
         raise IndexError(subset_index)
 
 
+def _unit_scaled(x):
+    """``(x * 2^-e, e)`` with the largest entry of the scaled vector in
+    [0.5, 1), so its squares neither overflow nor underflow.  The scaling is
+    exact, and so is every residual quotient taken on the scaled vector with
+    1 + |x| and 1 + |x|^2 scaled to 2^-e + |u| and 2^-2e + |u|^2."""
+    _, e = np.frexp(np.abs(x).max(initial=0.0))
+    e = max(int(e), -1021)  # subnormal entries: keep 2^-e finite
+    return np.ldexp(x, -e), e
+
+
 def brute_force_project(generators, x, eps=1e-8):
     """Project ``x`` onto the cone generated by ``generators``, with certificate.
 
@@ -167,7 +177,8 @@ def brute_force_project(generators, x, eps=1e-8):
     minimum-distance candidate together with its optimality residuals
     (point in the cone, error in the polar, complementarity).  Raises when
     the winning candidate fails certification at ``eps``, which signals
-    inconsistent cone data.
+    inconsistent cone data.  The residuals are taken on ``x`` scaled by a
+    power of two, so they do not overflow at any scale of ``x``.
 
     Parameters
     ----------
@@ -184,21 +195,25 @@ def brute_force_project(generators, x, eps=1e-8):
         raise ValueError(f"x must be a vector of dimension {table.dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x contains NaN/Inf entries")
-    P, subs = table.project(x[None, :])
+    u, e = _unit_scaled(x)
+    one = np.ldexp(1.0, -e)  # 1 on the scale of u
+    P, subs = table.project(u[None, :])
     p = P[0]
     S = table.subsets[subs[0]]
-    coeffs = table.coefficients(subs[0], x)
+    coeffs = table.coefficients(subs[0], u)
 
     G = table.generators
     neg = np.minimum(coeffs, 0.0)
     primal = float(np.linalg.norm(neg @ G[list(S), :]) if len(S) else 0.0)
-    primal /= 1.0 + float(np.linalg.norm(p))
+    primal /= one + float(np.linalg.norm(p))
     ghat = G / np.linalg.norm(G, axis=1, keepdims=True)
-    err = x - p
-    polar = float(max(0.0, (ghat @ err).max())) / (1.0 + float(np.linalg.norm(x)))
-    comp = float(abs(err @ p)) / (1.0 + float(x @ x))
-    cert = ProjectionCertificate(point=p, active_face=tuple(S), residual_primal=primal,
-                                 residual_polar=polar, residual_complementarity=comp)
+    err = u - p
+    polar = float(max(0.0, (ghat @ err).max())) / (one + float(np.linalg.norm(u)))
+    # 1 + |x|^2 on the scale of u; past 2^1023 the quotient is below 2^-1019 either way.
+    comp = float(abs(err @ p)) / (np.ldexp(1.0, min(-2 * e, 1023)) + float(u @ u))
+    cert = ProjectionCertificate(point=np.ldexp(p, e), active_face=tuple(S),
+                                 residual_primal=primal, residual_polar=polar,
+                                 residual_complementarity=comp)
     if not cert.accepted(eps):
         raise ValueError("no candidate certifies: inconsistent cone data "
                          f"(residuals {primal:.3e}, {polar:.3e}, {comp:.3e})")
@@ -206,12 +221,13 @@ def brute_force_project(generators, x, eps=1e-8):
 
 
 def conic_feasibility(generators, x, eps=1e-8):
-    """True iff ``x`` is within ``eps*(1+|x|)`` of a nonnegative combination."""
+    """True iff ``x`` is within ``eps*(1+|x|)`` of a nonnegative combination,
+    tested on ``x`` scaled by a power of two so that no norm overflows."""
     table = generators if isinstance(generators, FaceTable) else FaceTable(generators)
-    x = np.asarray(x, dtype=float)
-    P, _ = table.project(x[None, :])
-    dist = float(np.linalg.norm(x - P[0]))
-    return dist <= eps * (1.0 + float(np.linalg.norm(x)))
+    u, e = _unit_scaled(np.asarray(x, dtype=float))
+    P, _ = table.project(u[None, :])
+    dist = float(np.linalg.norm(u - P[0]))
+    return dist <= eps * (np.ldexp(1.0, -e) + float(np.linalg.norm(u)))
 
 
 def double_description(halfspaces):

@@ -150,3 +150,26 @@ def test_face_table_projection_across_scales():
         Ps, Ss = table.project(s * X)
         np.testing.assert_allclose(Ps, s * P1, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(Ss, S1)
+
+
+@pytest.mark.parametrize("scale", np.logspace(-300, 300, 13))
+def test_feasibility_and_certificate_across_scales(scale):
+    # Neither the distance test nor the certificate's 1 + |x| and 1 + |x|^2
+    # may overflow or underflow.  (3, 1) is inside the wedge at every scale;
+    # (3, -1) is at distance |x| / sqrt(10) from it, so it is outside once
+    # that exceeds the absolute part of eps (1 + |x|).
+    outside, inside = scale * np.array([3.0, -1.0]), scale * np.array([3.0, 1.0])
+    assert conic_feasibility(WEDGE, outside) == (scale < 1e-7)
+    assert conic_feasibility(WEDGE, inside)
+    cert = brute_force_project(WEDGE, outside)
+    np.testing.assert_allclose(cert.point, [3.0 * scale, 0.0], rtol=1e-14, atol=0.0)
+    assert cert.active_face == (0,)
+    assert cert.accepted(1e-12)
+    cert = brute_force_project(WEDGE, inside)
+    np.testing.assert_allclose(cert.point, inside, rtol=1e-14, atol=0.0)
+    assert cert.accepted(1e-12)
+
+
+def test_feasibility_of_the_huge_outside_point():
+    assert not conic_feasibility(WEDGE, [3e160, -1e160])
+    assert conic_feasibility(WEDGE, [3e160, 1e160])
