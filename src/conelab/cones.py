@@ -109,27 +109,31 @@ def _scales(X):
 
 
 # A batch whose largest entry lies outside [_TINY, _HUGE) is rescaled before
-# its residual is taken: squared entries overflow from 2^512 and lose bits to
+# its norms are taken: squared entries overflow from 2^512 and lose bits to
 # underflow below 2^-511.
 _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
 
 
-def _relative(violation, X):
-    """``violation(X) / (1 + |x|)`` per row, for a positively homogeneous
-    violation.
-
-    When the largest entry of the batch lies outside [2^-500, 2^500), each
-    row is first scaled by a power of two to a largest entry in [0.5, 1),
-    and 1 + |x| with it.  That scaling is exact, so the quotient rounds as
-    the unscaled one does wherever that neither overflows nor underflows;
-    testing the whole batch first keeps single-vector calls cheap.
-    """
+def _row_exponents(X):
+    """Per row, the power of two e (at least -1021, so 2^-e is finite) that
+    scales the row by 2^-e to a largest entry in [0.5, 1); None when the
+    largest entry of the batch is 0 or in [2^-500, 2^500), which keeps
+    single-vector calls cheap."""
     A = np.abs(X)
     top = float(A.max(initial=0.0))
     if top == 0.0 or _TINY <= top < _HUGE:
+        return None
+    return np.maximum(np.frexp(A.max(axis=1))[1], -1021)
+
+
+def _relative(violation, X):
+    """``violation(X) / (1 + |x|)`` per row, for a positively homogeneous
+    violation.  Rows that :func:`_row_exponents` scales are scaled, and
+    1 + |x| with them; that scaling is exact, so the quotient rounds as the
+    unscaled one does wherever that neither overflows nor underflows."""
+    e = _row_exponents(X)
+    if e is None:
         return violation(X) / (1.0 + np.linalg.norm(X, axis=1))
-    _, e = np.frexp(A.max(axis=1))
-    e = np.maximum(e, -1021)  # subnormal rows: keep 2^-e finite
     U = np.ldexp(X, -e[:, None])
     return violation(U) / (np.ldexp(1.0, -e) + np.linalg.norm(U, axis=1))
 

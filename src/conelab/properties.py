@@ -439,20 +439,17 @@ def check_subadditivity_defect_sets(pair, n_samples=1000, seed=0):
 
 
 def check_riesz_identities(pair, n_samples=1000, seed=0):
-    """Positive/negative-part identities: m is the positive part of the
-    order of its range.
-
-    Per sample: idempotence, subadditivity, the pointedness separation
-    (m(x) = m(-x) = 0 forces x = 0; checked on the samples where the
-    antecedent holds, plus the origin), isotonicity, x = m(x) + n(x),
-    vanishing cross-compositions, and distribution of m over pairwise
-    suprema y + m(x - y).
+    """Positive-part identities that no other key checks: the pointedness
+    separation (m(x) = m(-x) = 0 forces x = 0; checked on the samples where
+    the antecedent holds, plus the origin) and distribution of m over
+    pairwise suprema y + m(x - y).  Idempotence, subadditivity, isotonicity
+    and x = m(x) + n(x) are the keys ``idempotence``, ``subadditive-m``,
+    ``isotone-m`` and ``polarity``.
     """
     chk = _Check(pair, "positive-part-identities", seed)
     eps = chk.tol.eps_membership
     X = np.vstack([np.zeros((1, pair.dim)), gaussian_points(chk.rng, n_samples, pair.dim)])
     Y = np.vstack([np.zeros((1, pair.dim)), gaussian_points(chk.rng, n_samples, pair.dim)])
-    K = cone_members(pair.cone_m, chk.rng, X.shape[0])
 
     def separation(X):
         s = _scales(X)
@@ -464,20 +461,14 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
     def sup_distributes(X, Y):
         return _sup_commutes(pair, np.stack([X, Y], axis=1))
 
-    chk.norm("idempotent", _idempotence(pair.m), {"x": X})
-    chk.membership("subadditive", _subadditivity(pair.m, pair.cone_m), {"x": X, "y": Y})
     chk.norm("pointed-separation", separation, {"x": X}, 10.0 * eps)
-    chk.membership("isotone", _isotonicity(pair.m, pair.cone_m), {"x": X, "y": X + K})
-    chk.norm("decomposition", _decomposition(pair), {"x": X})
-    chk.norm("cross-null", _cross_null(pair), {"x": X})
     chk.norm("sup-distributes", sup_distributes, {"x": X, "y": Y})
     return chk.finish(X.shape[0])
 
 
 def _sigma_runner(pair, n_samples, seed):
     from .suprema import finite_sigma_continuity_check
-    return finite_sigma_continuity_check(pair, chain_length=8, seed=seed,
-                                         n_chains=max(1, n_samples // 8))
+    return finite_sigma_continuity_check(pair, n_samples, seed)
 
 
 # Catalogue of checkers by property id, in report order, with the pair

@@ -13,14 +13,23 @@ import numpy as np
 
 from . import oracle
 from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfspaces,
-                    Simplicial, _as_batch, as_vector, cone_from_json, cone_to_json,
-                    negate, polar, to_halfspaces)
+                    Simplicial, _as_batch, _row_exponents, as_vector, cone_from_json,
+                    cone_to_json, negate, polar, to_halfspaces)
 
 _ORTHO_RTOL = 1e-12
 
 
 def _lorentz_closed_form(X):
-    """Three-branch projection onto {(xbar, t) : |xbar| <= t}, vectorized."""
+    """Three-branch projection onto {(xbar, t) : |xbar| <= t}, vectorized;
+    rows that :func:`cones._row_exponents` scales are projected scaled and
+    scaled back (exact), so |xbar| neither overflows nor underflows."""
+    e = _row_exponents(X)
+    if e is None:
+        return _lorentz_branches(X)
+    return np.ldexp(_lorentz_branches(np.ldexp(X, -e[:, None])), e[:, None])
+
+
+def _lorentz_branches(X):
     bar, t = X[:, :-1], X[:, -1]
     r = np.linalg.norm(bar, axis=1)
     alpha = 0.5 * (r + t)

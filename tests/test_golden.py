@@ -88,6 +88,11 @@ def test_report_bytes_match_golden(tmp_path, name, args, config):
     assert raw == (GOLDEN / name).read_bytes()
 
 
+def test_golden_directory_holds_exactly_the_cases():
+    # A golden file no case writes would never be compared or regenerated.
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(c[0] for c in _cases())
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -18,6 +18,12 @@ from conelab.suprema import finite_sigma_continuity_check
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
 # Non-orthogonal simplicial cone whose Moreau pair runs through FaceTable.
 SKEW = Simplicial(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]))
+# The self-dual pentagonal cone: generators (r cos 2 pi k/5, r sin 2 pi k/5, 1)
+# with r^2 = 1 / cos(pi/5).
+_R = np.sqrt(1.0 / np.cos(np.pi / 5))
+PENTAGON = PolyhedralGenerators(np.array([[_R * np.cos(2 * np.pi * k / 5),
+                                           _R * np.sin(2 * np.pi * k / 5), 1.0]
+                                          for k in range(5)]))
 
 
 def test_polarity_passes_lattice_orthant():
@@ -149,20 +155,27 @@ def test_riesz_identities_pass_on_lattice():
 # The paper's conclusion: when a Moreau pair has the catalogue's order
 # properties, m is the positive-part map of a lattice cone.  A cone with
 # pairwise orthogonal extreme rays (an orthant, Lorentz(2)) gives such a pair;
-# on Lorentz(3) and the skew simplicial cone the supremum y + m(x - y) does
-# not commute with m.
+# on Lorentz(3), Lorentz(5), the skew simplicial cone and the self-dual
+# pentagon the supremum y + m(x - y) does not commute with m, for pairs of
+# points and for sets of 8.
 @pytest.mark.parametrize("cone, lattice", [(Orthant(4), True), (Lorentz(2), True),
-                                           (Lorentz(3), False), (SKEW, False)],
-                         ids=["orthant-4", "lorentz-2", "lorentz-3", "skew-simplicial"])
+                                           (Lorentz(3), False), (SKEW, False),
+                                           (Lorentz(5), False), (PENTAGON, False)],
+                         ids=["orthant-4", "lorentz-2", "lorentz-3", "skew-simplicial",
+                              "lorentz-5", "pentagon"])
 def test_riesz_identities_follow_theorem_on_moreau(cone, lattice):
     pair = moreau_pair(cone)
     rep = check_riesz_identities(pair, 300, seed=0)
-    if lattice:
-        assert rep.verdict == "pass"
-        assert finite_sigma_continuity_check(pair, 8, 0, 64).verdict == "pass"
-    else:
-        assert rep.verdict == "fail"
-        assert "sup-distributes" in {w["check"] for w in rep.witnesses}
+    sets = finite_sigma_continuity_check(pair, 300, seed=0)
+    sup_fails = "sup-distributes" in {w["check"] for w in rep.witnesses}
+    assert (sets.verdict == "fail") == sup_fails == (not lattice)
+    assert rep.verdict == sets.verdict == ("pass" if lattice else "fail")
+    names = [f"x{j}" for j in range(1, 9)]
+    for w in sets.witnesses:
+        small = np.array([[w["shrunk"][k] for k in names]])
+        assert w["shrunk"]["residual"] == properties._sup_commutes(pair, small)[0]
+        assert w["shrunk"]["residual"] > pair.tol.eps_equal
+        assert np.linalg.norm(small[0, 0]) < np.linalg.norm(w["x1"])
 
 
 def test_ranges_and_idempotence_minkowski():

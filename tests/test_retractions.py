@@ -84,6 +84,20 @@ def test_moreau_lorentz_point_in_polar():
     np.testing.assert_allclose(pair.n([0.0, 0.0, -1.0]), [0.0, 0.0, -1.0])
 
 
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_moreau_lorentz_maps_scale_exactly(dim):
+    # Power-of-two scaling is exact, so a positively homogeneous map must
+    # commute with it bit for bit, from 2^-990 to 2^990: no |xbar| underflow
+    # (which returned outside points unchanged) or overflow (nan, inf).
+    pair = moreau_pair(Lorentz(dim))
+    X = gaussian_points(rng_for(dim, "lorentz-scale"), 16, dim)
+    M, N = pair.m(X), pair.n(X)
+    for k in range(-990, 991):
+        t = 2.0 ** k
+        assert np.array_equal(pair.m(t * X), t * M), k
+        assert np.array_equal(pair.n(t * X), t * N), k
+
+
 def test_moreau_orthogonality_and_norms():
     rng = rng_for(3, "pythagoras")
     for cone in (Orthant(4), Lorentz(3), SIMP):

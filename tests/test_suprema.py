@@ -5,8 +5,8 @@ from conelab import (Lorentz, Orthant, Simplicial, closed_form_sup,
                      default_upper_bound, finite_sigma_continuity_check,
                      iterative_sup, lattice_pair, leq, lex_demo, lex_leq, lex_lt,
                      moreau_pair, sample_simplicial, sup_m)
+from conelab.properties import _sup_commutes
 from conelab.sampling import cone_members, gaussian_points, rng_for
-from conelab.suprema import _chain_sup_residuals
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
@@ -203,44 +203,42 @@ def test_finite_sigma_orthant_example():
 
 
 def test_finite_sigma_checker():
-    rep = finite_sigma_continuity_check(lattice_pair(sample_simplicial(4, 3)),
-                                        chain_length=6, seed=2)
-    assert rep.verdict == "pass"
-    rep1 = finite_sigma_continuity_check(lattice_pair(Orthant(2)), chain_length=1, seed=0)
-    assert rep1.verdict == "pass"
+    rep = finite_sigma_continuity_check(lattice_pair(sample_simplicial(4, 3)), 48, seed=2)
+    assert rep.verdict == "pass" and rep.samples_run == 6
+    rep1 = finite_sigma_continuity_check(lattice_pair(Orthant(2)), 1, seed=0)
+    assert rep1.verdict == "pass" and rep1.samples_run == 1
 
 
-def _chain_reference(pair, rng, n_chains, chain_length):
-    """The chain check built one chain and one sampled row at a time, in the
-    batch's draw order: every start, then every increment."""
-    starts = np.array([gaussian_points(rng, 1, pair.dim)[0] for _ in range(n_chains)])
-    residuals = np.zeros(n_chains)
-    for c in range(n_chains):
-        chain = [starts[c]]
-        for _ in range(chain_length - 1):
-            chain.append(chain[-1] + cone_members(pair.cone_m, rng, 1)[0])
-        sup_chain, sup_images = chain[0], pair.m(chain[0])
-        for x in chain[1:]:
-            sup_chain = sup_m(pair, sup_chain, x)
+def _sup_commutes_reference(pair, sets):
+    """The sup-commutes residual of each set, folded one set at a time as
+    1-D vectors."""
+    residuals = np.zeros(len(sets))
+    for c, S in enumerate(sets):
+        sup_set, sup_images = S[0], pair.m(S[0])
+        for x in S[1:]:
+            sup_set = sup_m(pair, sup_set, x)
             sup_images = sup_m(pair, sup_images, pair.m(x))
-        scale = 1.0 + max(float(np.linalg.norm(x)) for x in chain)
-        residuals[c] = float(np.linalg.norm(pair.m(sup_chain) - sup_images)) / scale
-    return starts, residuals
+        scale = 1.0 + max(float(np.linalg.norm(x)) for x in S)
+        residuals[c] = float(np.linalg.norm(pair.m(sup_set) - sup_images)) / scale
+    return residuals
 
 
 @pytest.mark.parametrize("dim", range(1, 9))
 def test_chain_residuals_match_per_row_reference(dim):
-    pairs = (lattice_pair(Orthant(dim)),
-             lattice_pair(sample_simplicial(dim, 40 + dim, cond_cap=20.0)))
+    # Each row of the batch is one set; the fold's partial suprema are its chain.
+    pairs = [lattice_pair(Orthant(dim)),
+             lattice_pair(sample_simplicial(dim, 40 + dim, cond_cap=20.0))]
+    pairs += [moreau_pair(Lorentz(dim))] if dim >= 2 else []
     for pair in pairs:
-        for chain_length in (1, 8):
-            starts, res = _chain_sup_residuals(pair, rng_for(dim, "chains"), 50, chain_length)
-            ref_starts, ref_res = _chain_reference(pair, rng_for(dim, "chains"), 50,
-                                                   chain_length)
-            np.testing.assert_array_equal(starts, ref_starts)
-            # Both residuals are rounding noise relative to 1 + max |x|; the
-            # batched matmuls may round differently from the per-row ones.
-            np.testing.assert_allclose(res, ref_res, rtol=0.0, atol=1e-15)
+        for set_size in (1, 8):
+            S = gaussian_points(rng_for(dim, "sets"), 50 * set_size, dim)
+            S = S.reshape(50, set_size, dim)
+            # On lattice pairs both residuals are rounding noise of a few ulps
+            # of 1 + max |x| (up to 4.5e-15 on the simplicial ones), and the
+            # batched matmuls round differently from the 1-D ones; on
+            # Lorentz(d >= 3) the residual is about 0.1.
+            np.testing.assert_allclose(_sup_commutes(pair, S), _sup_commutes_reference(pair, S),
+                                       rtol=1e-12, atol=1e-14)
 
 
 def test_trace_json_and_csv():
