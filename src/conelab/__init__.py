@@ -22,8 +22,7 @@ from .properties import (CATALOGUE, PropertyReport, catalogue_for,
                          check_subadditivity_defect_sets, run_catalogue, sup_m)
 from .retractions import (RetractionPair, lattice_pair, minkowski_pair,
                           moreau_pair, pair_from_json, project_cone)
-from .suprema import (SupTrace, closed_form_sup, default_upper_bound,
-                      finite_sigma_continuity_check, iterative_sup, lex_demo,
-                      lex_leq, lex_lt)
+from .suprema import (SupTrace, closed_form_sup, finite_sigma_continuity_check,
+                      iterative_sup, lex_demo, lex_leq, lex_lt)
 
 __version__ = "0.1.0"

@@ -104,10 +104,6 @@ def _as_batch(x, dim):
     raise ValueError(f"expected vector or (n, {dim}) batch, got ndim {a.ndim}")
 
 
-def _scales(X):
-    return 1.0 + np.linalg.norm(X, axis=1)
-
-
 # A batch whose largest entry lies outside [_TINY, _HUGE) is rescaled before
 # its norms are taken: squared entries overflow from 2^512 and lose bits to
 # underflow below 2^-511.
@@ -126,16 +122,25 @@ def _row_exponents(X):
     return np.maximum(np.frexp(A.max(axis=1))[1], -1021)
 
 
-def _relative(violation, X):
-    """``violation(X) / (1 + |x|)`` per row, for a positively homogeneous
-    violation.  Rows that :func:`_row_exponents` scales are scaled, and
-    1 + |x| with them; that scaling is exact, so the quotient rounds as the
-    unscaled one does wherever that neither overflows nor underflows."""
-    e = _row_exponents(X)
-    if e is None:
-        return violation(X) / (1.0 + np.linalg.norm(X, axis=1))
-    U = np.ldexp(X, -e[:, None])
-    return violation(U) / (np.ldexp(1.0, -e) + np.linalg.norm(U, axis=1))
+def _relative(violation, *arrays, size=None):
+    """``violation(*arrays) / (1 + size)`` per row, for a positively
+    homogeneous violation of row-aligned inputs; ``size`` is |x| of the first
+    input x unless a positively homogeneous ``size(*arrays)`` is given.
+
+    This is the one place a violation becomes a relative residual.  Each row
+    of every input is scaled by the same power of two, from
+    :func:`_row_exponents` of all inputs side by side, and the 1 with them;
+    that scaling is exact, so the quotient rounds as the unscaled one does
+    wherever that neither overflows nor underflows, and it stays finite at
+    any finite scale of the inputs.
+    """
+    e = _row_exponents(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
+    one = 1.0
+    if e is not None:
+        one = np.ldexp(1.0, -e)
+        arrays = [np.ldexp(a, -e[:, None]) for a in arrays]
+    norm = np.linalg.norm(arrays[0], axis=1) if size is None else size(*arrays)
+    return violation(*arrays) / (one + norm)
 
 
 def _readonly(a):

@@ -29,13 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, _scales
+from .cones import DEFAULT_TOL, _relative, _row_exponents
 from .sampling import cone_members, gaussian_points, rng_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
-# Absolute tolerance for identities that hold by exact algebra up to rounding.
-ALGEBRA_ABS_TOL = 1e-12
+# Tolerance (relative, like every residual) for identities exact up to rounding.
+ALGEBRA_TOL = 1e-12
 
 _WITNESS_CAP = 8
 # Relative margin at which a closed-form smallest failing scale is confirmed.
@@ -145,7 +145,9 @@ class _Check:
 
     def add(self, check, residual, inputs, status, res, threshold):
         """Record one labelled check; ``residual`` replays it on rows of
-        ``inputs`` (None when the rows alone cannot replay it)."""
+        ``inputs``.  A NaN residual raises ValueError: it compares as a pass."""
+        if np.isnan(res).any():
+            raise ValueError(f"{self.property_id}: check {check!r} gave a NaN residual")
         status = np.asarray(status)
         self.any_band = self.any_band or bool((status == _BAND).any())
         bad = status == _BAD
@@ -173,14 +175,18 @@ class _Check:
     def _witnesses(self):
         """The reported witnesses: the failing rows with the smallest first
         input by norm, then lexicographically, then in insertion order;
-        each with its shrunk variant when its residual can be replayed."""
+        each with its shrunk variant."""
         if not self.failures:
             return []
         inputs = [rows for *_, rows, _ in self.failures]
         sizes = [rows[0].shape[0] for rows in inputs]
         owner = np.repeat(np.arange(len(sizes)), sizes)
         local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        norms = np.linalg.norm(np.concatenate([rows[0] for rows in inputs]), axis=1)
+        # One power of two for all rows keeps the norms finite and their order exact.
+        first = np.concatenate([rows[0] for rows in inputs])
+        e = _row_exponents(first)
+        shift = 0 if e is None else int(e.max())
+        norms = np.linalg.norm(np.ldexp(first, -shift), axis=1)
         near = range(norms.size)
         if norms.size > _WITNESS_CAP:
             cut = np.partition(norms, _WITNESS_CAP - 1)[_WITNESS_CAP - 1]
@@ -188,7 +194,7 @@ class _Check:
 
         def key(i):
             rows, r = inputs[owner[i]], local[i]
-            return (float(np.linalg.norm(rows[0][r])),
+            return (float(np.linalg.norm(np.ldexp(rows[0][r], -shift))),
                     tuple(np.concatenate([a[r] for a in rows]).tolist()))
 
         chosen = sorted(near, key=key)[:_WITNESS_CAP]
@@ -198,15 +204,13 @@ class _Check:
             if not mine:
                 continue
             picked = [a[local[mine]] for a in rows]
-            if residual is not None:
-                shrunk, shrunk_res = _shrink(residual, picked, threshold)
+            shrunk, shrunk_res = _shrink(residual, picked, threshold)
             for j, i in enumerate(mine):
                 w = {name: a[j].tolist() for name, a in zip(names, picked)}
                 w["residual"] = float(res[local[i]])
                 w["check"] = check
-                if residual is not None:
-                    w["shrunk"] = {name: a[j].tolist() for name, a in zip(names, shrunk)}
-                    w["shrunk"]["residual"] = shrunk_res[j]
+                w["shrunk"] = {name: a[j].tolist() for name, a in zip(names, shrunk)}
+                w["shrunk"]["residual"] = shrunk_res[j]
                 witnesses[i] = w
         return [witnesses[i] for i in chosen]
 
@@ -223,40 +227,42 @@ class _Check:
 
 
 # Residual functions shared between checkers.  Each maps row batches to one
-# residual per row.
+# residual per row; every norm residual is relative to 1 + |x| through
+# cones._relative.
 
 def _worst(*residuals):
     """Row-wise maximum of residuals over the same inputs."""
     return lambda *rows: np.maximum.reduce([r(*rows) for r in residuals])
 
 
+def _norm_residual(violation):
+    """The residual of a vector-valued violation (zero where the identity
+    holds): its norm, relative to 1 + |x| of the first input."""
+    return lambda *rows: _relative(lambda *U: np.linalg.norm(violation(*U), axis=1), *rows)
+
+
 def _decomposition(pair):
-    """m(x) + n(x) = x, relative to 1 + |x|."""
-    return lambda X: np.linalg.norm(pair.m(X) + pair.n(X) - X, axis=1) / _scales(X)
+    """m(x) + n(x) = x."""
+    return _norm_residual(lambda X: pair.m(X) + pair.n(X) - X)
 
 
 def _cross_null(pair):
-    """m(n(x)) = n(m(x)) = 0, relative to 1 + |x|."""
-    return lambda X: np.maximum(np.linalg.norm(pair.m(pair.n(X)), axis=1),
-                                np.linalg.norm(pair.n(pair.m(X)), axis=1)) / _scales(X)
+    """m(n(x)) = n(m(x)) = 0."""
+    return _worst(_norm_residual(lambda X: pair.m(pair.n(X))),
+                  _norm_residual(lambda X: pair.n(pair.m(X))))
 
 
 def _idempotence(R):
-    """R(R(x)) = R(x), relative to 1 + |x|."""
-    def residual(X):
+    """R(R(x)) = R(x)."""
+    def violation(X):
         image = R(X)
-        return np.linalg.norm(R(image) - image, axis=1) / _scales(X)
-    return residual
+        return R(image) - image
+    return _norm_residual(violation)
 
 
 def _image_in(cone, R):
     """Membership of R(x) in the cone."""
     return lambda X: cone.membership_residual(R(X))
-
-
-def _in_kernel(R):
-    """R(x) = 0, relative to 1 + |x|."""
-    return lambda X: np.linalg.norm(R(X), axis=1) / _scales(X)
 
 
 def _defect(R, X, Y):
@@ -284,12 +290,17 @@ def _sup_commutes(pair, S):
     """m(sup S) = sup m(S) for each set S of an (n, k, dim) stack, both
     suprema folded with :func:`sup_m`; relative to 1 + max_{s in S} |s|."""
     n, k, dim = S.shape
-    T = np.concatenate([S, pair.m(S.reshape(n * k, dim)).reshape(S.shape)])
-    sup = T[:, 0]
-    for j in range(1, k):
-        sup = sup_m(pair, sup, T[:, j])
-    scale = 1.0 + np.linalg.norm(S, axis=2).max(axis=1)
-    return np.linalg.norm(pair.m(sup[:n]) - sup[n:], axis=1) / scale
+
+    def violation(F):
+        U = F.reshape(S.shape)
+        T = np.concatenate([U, pair.m(F.reshape(n * k, dim)).reshape(S.shape)])
+        sup = T[:, 0]
+        for j in range(1, k):
+            sup = sup_m(pair, sup, T[:, j])
+        return np.linalg.norm(pair.m(sup[:n]) - sup[n:], axis=1)
+
+    return _relative(violation, S.reshape(n, k * dim),
+                     size=lambda F: np.linalg.norm(F.reshape(S.shape), axis=2).max(axis=1))
 
 
 def check_mutual_polarity(pair, n_samples=1000, seed=0):
@@ -342,7 +353,7 @@ def check_range_kernel(pair, n_samples=1000, seed=0):
     ])
     eps = chk.tol.eps_membership
     for check, cone, R in (("m-side", pair.cone_m, pair.n), ("n-side", pair.cone_n, pair.m)):
-        in_kernel = _in_kernel(R)
+        in_kernel = _norm_residual(R)
         res_in, res_ker = cone.membership_residual(X), in_kernel(X)
         chk.add(check, _worst(cone.membership_residual, in_kernel), {"x": X},
                 _xor_fail(_membership_status(res_in, eps), _membership_status(res_ker, eps)),
@@ -411,7 +422,7 @@ def check_subadditivity_defect_sets(pair, n_samples=1000, seed=0):
     w = m(w) + m(v) - m(w+v) with v = -(w + k), k a range member --
     requires v and w + v to land in the n-range, which is verified per
     sample and otherwise reported as inconclusive; (c) the n-defect equals
-    the negated m-defect up to absolute rounding (exact algebra).
+    the negated m-defect up to rounding (exact algebra), relative to 1 + |x|.
     """
     chk = _Check(pair, "subadditivity-defects", seed)
     X = gaussian_points(chk.rng, n_samples, pair.dim)
@@ -423,18 +434,18 @@ def check_subadditivity_defect_sets(pair, n_samples=1000, seed=0):
                      pair.cone_n.membership_residual(W + V))
     eligible = _membership_status(pre, chk.tol.eps_membership) == _OK
 
-    def realized(W, V):
-        return np.linalg.norm(_defect(pair.m, W, V) - W, axis=1) / _scales(W)
+    realized = _norm_residual(lambda W, V: _defect(pair.m, W, V) - W)
 
     def negation(X, Y):
-        return np.abs(_defect(pair.n, X, Y) + _defect(pair.m, X, Y)).max(axis=1)
+        return _relative(lambda U, V: np.abs(_defect(pair.n, U, V) + _defect(pair.m, U, V))
+                         .max(axis=1), X, Y)
 
     chk.membership("defect-in-range", _subadditivity(pair.m, pair.subadd_cone_m),
                    {"x": X, "y": Y})
     res_b, eps = realized(W, V), chk.tol.eps_equal
     chk.add("member-realized", realized, {"x": W, "y": V},
             np.where(eligible, _norm_status(res_b, eps), _BAND), res_b, eps)
-    chk.norm("defect-negation", negation, {"x": X, "y": Y}, ALGEBRA_ABS_TOL)
+    chk.norm("defect-negation", negation, {"x": X, "y": Y}, ALGEBRA_TOL)
     return chk.finish(n_samples)
 
 
@@ -452,11 +463,11 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
     Y = np.vstack([np.zeros((1, pair.dim)), gaussian_points(chk.rng, n_samples, pair.dim)])
 
     def separation(X):
-        s = _scales(X)
-        antecedent = (np.linalg.norm(pair.m(X), axis=1) <= eps * s) & \
-                     (np.linalg.norm(pair.m(-X), axis=1) <= eps * s)
-        separated = np.linalg.norm(X, axis=1) <= 10.0 * eps * s
-        return np.where(antecedent & ~separated, np.linalg.norm(X, axis=1) / s, 0.0)
+        # |m(x)|, |m(-x)| and |x|, each relative to 1 + |x|
+        m_plus, m_minus, size = _relative(lambda U: np.linalg.norm(
+            np.stack([pair.m(U), pair.m(-U), U]), axis=2), X)
+        antecedent = (m_plus <= eps) & (m_minus <= eps)
+        return np.where(antecedent & (size > 10.0 * eps), size, 0.0)
 
     def sup_distributes(X, Y):
         return _sup_commutes(pair, np.stack([X, Y], axis=1))

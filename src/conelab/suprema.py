@@ -7,10 +7,10 @@ against the closed form; for other pairs the iteration runs in an
 exploratory mode whose trace is validated (monotone, bounded by the
 scaffold upper bound m(u) + m(v)) rather than trusted.
 
-Also here: the closed-form supremum on simplicial cones, the scaffold
-upper bound, a lexicographic-order demonstration of missing least upper
-bounds, and the check that the m-map commutes with the suprema of finite
-sets of Gaussian points.
+Also here: the closed-form supremum on simplicial cones, a
+lexicographic-order demonstration of missing least upper bounds, and the
+check that the m-map commutes with the suprema of finite sets of Gaussian
+points.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ import numpy as np
 
 from .cones import Simplicial, as_vector, leq
 from .properties import _Check, _sup_commutes, sup_m
-from .sampling import cone_members, gaussian_points, rng_for
+# cone_members is unused here, but perfbench/spans.py wraps
+# suprema.cone_members along with suprema.gaussian_points.
+from .sampling import cone_members, gaussian_points  # noqa: F401
 
 CONVERGED, MAX_ITER, DIVERGED = "converged", "max_iter", "diverged"
 
@@ -93,29 +95,6 @@ def closed_form_sup(cone, u, v):
     cu = cone.basis_inv @ uv
     cv = cone.basis_inv @ vv
     return cone.basis @ np.maximum(cu, cv)
-
-
-def default_upper_bound(pair, u, v):
-    """The scaffold upper bound m(u) + m(v) of {u, v}.
-
-    Requires the pair's ranges to negate (n-range = -(m-range)); that is
-    what makes x <= m(x) and hence the bound valid.  The negation premise
-    is verified on a small deterministic sample and the bound's order
-    contract is checked before returning.
-    """
-    u = as_vector(u, pair.dim)
-    v = as_vector(v, pair.dim)
-    rng = rng_for(0, "default-upper-bound")
-    members_m = cone_members(pair.cone_m, rng, 16)
-    members_n = cone_members(pair.cone_n, rng, 16)
-    res = max(float(np.max(pair.cone_n.membership_residual(-members_m))),
-              float(np.max(pair.cone_m.membership_residual(-members_n))))
-    if res > 10.0 * pair.tol.eps_membership:
-        raise ValueError("ranges do not negate; scaffold bound is not valid")
-    w = pair.m(u) + pair.m(v)
-    if not (leq(pair.cone_m, u, w, pair.tol) and leq(pair.cone_m, v, w, pair.tol)):
-        raise ValueError("scaffold bound failed its order contract")
-    return w
 
 
 def iterative_sup(pair, u, v, max_iter=100):
@@ -201,32 +180,24 @@ def lex_lt(a, b):
     return lex_leq(a, b) and not (float(a[0]) == float(b[0]) and float(a[1]) == float(b[1]))
 
 
-DEFAULT_LEX_BOUNDS = ((1.0, 0.0), (0.5, -3.0), (2.0, 100.0), (0.25, -50.0),
-                      (3.0, -1.0), (1.0, 1.0), (10.0, 0.0), (0.125, 7.0),
-                      (5.0, -200.0), (0.75, 2.5))
+_LEX_TERMS = 100
+# Candidate upper bounds of the chain; each has a positive first coordinate.
+_LEX_BOUNDS = ((1.0, 0.0), (0.5, -3.0), (2.0, 100.0), (0.25, -50.0),
+               (3.0, -1.0), (1.0, 1.0), (10.0, 0.0), (0.125, 7.0),
+               (5.0, -200.0), (0.75, 2.5))
 
 
-def lex_demo(n_terms=100, candidate_bounds=None):
+def lex_demo():
     """No least upper bound under the lexicographic order on R^2.
 
-    Builds the increasing chain a_n = (0, n).  Every candidate w with
-    w1 > 0 is an upper bound, yet w' = (w1, w2 - 1) is a strictly smaller
-    upper bound, so no candidate can be least.  Candidates with w1 <= 0
-    are rejected.
+    Builds the increasing chain a_n = (0, n), n = 1..100.  Every candidate
+    w with w1 > 0 is an upper bound, yet w' = (w1, w2 - 1) is a strictly
+    smaller upper bound, so no candidate can be least.
     """
-    if n_terms < 2:
-        raise ValueError("n_terms must be >= 2")
-    if candidate_bounds is None:
-        candidate_bounds = DEFAULT_LEX_BOUNDS
-    terms = [(0.0, float(n)) for n in range(1, n_terms + 1)]
+    terms = [(0.0, float(n)) for n in range(1, _LEX_TERMS + 1)]
     increasing = all(lex_lt(terms[i], terms[i + 1]) for i in range(len(terms) - 1))
     rows = []
-    for w in candidate_bounds:
-        w = (float(w[0]), float(w[1]))
-        if not (np.isfinite(w[0]) and np.isfinite(w[1])):
-            raise ValueError(f"candidate bound {w} rejected: coordinates must be finite")
-        if w[0] <= 0.0:
-            raise ValueError(f"candidate bound {w} rejected: first coordinate must be > 0")
+    for w in _LEX_BOUNDS:
         is_ub = all(lex_leq(a, w) for a in terms)
         smaller = (w[0], w[1] - 1.0)
         rows.append({
@@ -239,7 +210,7 @@ def lex_demo(n_terms=100, candidate_bounds=None):
     certified = increasing and all(
         r["is_upper_bound"] and r["smaller_is_upper_bound"] and r["strictly_smaller"]
         for r in rows)
-    return {"terms": n_terms, "chain_increasing": increasing,
+    return {"terms": _LEX_TERMS, "chain_increasing": increasing,
             "candidates": rows, "certified": certified}
 
 

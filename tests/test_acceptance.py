@@ -190,7 +190,7 @@ def test_criterion_7_order_unit_pair_shadow():
 
 def test_criterion_8_lexicographic_demo():
     t0 = time.monotonic()
-    rep = lex_demo(n_terms=100)
+    rep = lex_demo()
     elapsed = time.monotonic() - t0
     ok = rep["certified"] and rep["chain_increasing"] and len(rep["candidates"]) == 10
     for row in rep["candidates"]:

@@ -60,6 +60,27 @@ def test_polarity_fails_for_corrupted_pair():
     assert replayed > 1e-7
 
 
+def test_nan_residual_raises():
+    # NaN > eps is False, so a NaN residual would otherwise pass its row.
+    a = lattice_pair(Orthant(2))
+
+    def m_map(X):
+        Y = a.m(X)
+        Y[0] = np.nan
+        return Y
+
+    pair = RetractionPair("lattice", a.cone_m, a.cone_n, m_map, a.n)
+    chk, X = _Check(pair, "polarity", 0), np.ones((3, 2))
+    with pytest.raises(ValueError, match="polarity: check 'sum' gave a NaN residual"):
+        chk.norm("sum", properties._decomposition(pair), {"x": X})
+    with pytest.raises(ValueError, match="polarity: check 'member'"):
+        chk.membership("member", properties._decomposition(pair), {"x": X})
+    # Where the NaN image is fed back into a map or a cone, the input check of
+    # that call raises first.
+    with pytest.raises(ValueError):
+        run_catalogue(pair, 20, seed=0)
+
+
 def test_subadditive_moreau_orthant_passes():
     rep = check_subadditive(moreau_pair(Orthant(3)), "m", 2000, seed=0)
     assert rep.verdict == "pass" and rep.witnesses == []
@@ -349,7 +370,6 @@ def test_every_catalogue_key_draws_its_own_stream(monkeypatch):
         return sampling.rng_for(seed, key)
 
     monkeypatch.setattr(properties, "rng_for", recording)
-    monkeypatch.setattr(suprema, "rng_for", recording)
     reports = run_catalogue(lattice_pair(Orthant(2)), 4, seed=0)
     assert keys == [r.property_id for r in reports] == [key for key, _, _ in CATALOGUE]
     for seed in (0, 1, 2**31):
