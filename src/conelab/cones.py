@@ -67,6 +67,14 @@ def _as_numbers(x, name):
     return a.astype(float, copy=False)
 
 
+def _as_rows(x, name):
+    """A JSON list of vectors as a 2-D float array; a flat list is rejected."""
+    a = _as_numbers(x, name)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be a list of vectors, got an array of ndim {a.ndim}")
+    return a
+
+
 def as_vector(x, dim=None):
     """Validate and return a finite 1-D float vector."""
     v = _as_numbers(x, "vector")
@@ -288,7 +296,7 @@ class PolyhedralHalfspaces(ConeSpec):
             raise ValueError("halfspace normals have NaN/Inf entries")
         if N.shape[1] > MAX_DENSE_DIM:
             raise ValueError(f"dimension cap {MAX_DENSE_DIM} exceeded")
-        if np.any(np.linalg.norm(N, axis=1) == 0.0):
+        if not N.any(axis=1).all():
             raise ValueError("zero normal not allowed")
         object.__setattr__(self, "normals", _readonly(N))
 
@@ -298,7 +306,7 @@ class PolyhedralHalfspaces(ConeSpec):
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        unit = self.normals / np.linalg.norm(self.normals, axis=1, keepdims=True)
+        unit = oracle._unit_rows(self.normals)
         res = _relative(lambda X: np.maximum(0.0, -(X @ unit.T)).max(axis=1), X)
         return self._finish(res, single)
 
@@ -453,8 +461,8 @@ def cone_from_json(obj):
             raise ValueError(f"lorentz negated must be true or false, got {negated!r}")
         return Lorentz(_as_int(obj.get("dim"), "cone dim"), negated=negated)
     if kind == "generators":
-        return PolyhedralGenerators(_as_numbers(obj["vectors"], "generator vectors"))
-    return PolyhedralHalfspaces(_as_numbers(obj["normals"], "halfspace normals"))
+        return PolyhedralGenerators(_as_rows(obj["vectors"], "generator vectors"))
+    return PolyhedralHalfspaces(_as_rows(obj["normals"], "halfspace normals"))
 
 
 def cone_to_json(cone):

@@ -36,10 +36,18 @@ def _as_generator_matrix(generators, max_rows=MAX_GENERATORS):
         raise ValueError(f"at most {max_rows} generators supported, got {k}")
     if m > MAX_DIM:
         raise ValueError(f"dimension cap {MAX_DIM} exceeded, got {m}")
-    norms = np.linalg.norm(G, axis=1)
-    if np.any(norms == 0.0):
+    if not G.any(axis=1).all():
         raise ValueError("zero generator not allowed")
     return G
+
+
+def _unit_rows(B):
+    """Rows of ``B`` divided by their norms.  Each row is first scaled by a
+    power of two to a largest entry in [0.5, 1): exact, so no norm overflows
+    or underflows, and rows whose norms did neither keep their bits."""
+    _, e = np.frexp(np.abs(B).max(axis=1, keepdims=True))
+    S = np.ldexp(B, -e)
+    return S / np.linalg.norm(S, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -75,29 +83,33 @@ class FaceTable:
 
     Subsets are ordered by size, then lexicographically; rank-deficient
     subsets are skipped.  The empty subset (candidate 0, the origin) is
-    always present.
+    always present.  The subsets of one size are factored together, in one
+    batched SVD (the rank test) and one batched pseudo-inverse.  A
+    projection forms ``x - p`` and its squared length only for the
+    (subset, point) pairs whose coefficients are feasible; exact distance
+    ties go to the earlier, smaller face.
     """
 
     def __init__(self, generators):
         G = _as_generator_matrix(generators)
+        # A row far outside [2^-500, 2^500) is scaled by a power of two into
+        # [0.5, 1): the cone is the same, and its pseudo-inverse stays finite.
+        e = np.frexp(np.abs(G).max(axis=1))[1]
+        G = np.ldexp(G, -np.where(np.abs(e) > 500, e, 0)[:, None])
         self.generators = G
         k, m = G.shape
         self.dim = m
         subsets = [()]
         groups = []
         for size in range(1, min(k, m) + 1):
-            idx_rows, w_rows, g_rows = [], [], []
-            for S in itertools.combinations(range(k), size):
-                GS = G[list(S), :].T  # (m, size), columns are generators
-                sv = np.linalg.svd(GS, compute_uv=False)
-                if sv[-1] <= sv[0] * _RANK_RTOL:
-                    continue  # rank-deficient face, covered by a smaller one
-                idx_rows.append(S)
-                w_rows.append(np.linalg.pinv(GS))
-                g_rows.append(GS)
-            if idx_rows:
-                groups.append((np.array(w_rows), np.array(g_rows)))
-                subsets.extend(idx_rows)
+            S = np.array(list(itertools.combinations(range(k), size)))
+            GS = G[S].transpose(0, 2, 1)  # (n_s, m, size), columns are generators
+            sv = np.linalg.svd(GS, compute_uv=False)
+            keep = sv[:, -1] > sv[:, 0] * _RANK_RTOL  # else covered by a smaller face
+            if keep.any():
+                GS = np.ascontiguousarray(GS[keep])
+                groups.append((np.linalg.pinv(GS), GS))
+                subsets.extend(map(tuple, S[keep].tolist()))
         self.subsets = subsets
         self._groups = groups
 
@@ -113,6 +125,8 @@ class FaceTable:
         n = X.shape[0]
         if X.shape[1] != self.dim:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {X.shape[1]}")
+        if not np.isfinite(X).all():
+            raise ValueError("points contain NaN/Inf entries")
         _, e = np.frexp(np.abs(X).max(axis=1))
         X = np.ldexp(X, -e[:, None])
         best_p = np.zeros_like(X)
@@ -132,12 +146,17 @@ class FaceTable:
         offset = 1
         for W, GS in self._groups:
             C = W @ XT                              # (n_s, size, n)
-            scale = 1.0 + np.abs(C).max(axis=1, keepdims=True)
-            feasible = (C >= -1e-12 * scale).all(axis=1)
+            cmin, cmax = C.min(axis=1), C.max(axis=1)
+            feasible = cmin >= -1e-12 * (1.0 + np.maximum(cmax, -cmin))
             P = GS @ C                              # (n_s, m, n)
-            R = XT[None, :, :] - P
-            d2 = np.einsum("smn,smn->sn", R, R)
-            d2 = np.where(feasible, d2, np.inf)
+            s_idx, n_idx = np.nonzero(feasible)
+            R = X[n_idx] - P[s_idx, :, n_idx]      # x - p at the feasible pairs only
+            # Rounded as einsum("smn,smn->sn") rounds the squared distances of
+            # the whole chunk: a vectorised reduction for one point, a sum in
+            # coordinate order for several.
+            d2 = np.full(feasible.shape, np.inf)
+            d2[s_idx, n_idx] = (np.einsum("ij,ij->i", R, R) if n == 1
+                                else (R * R).cumsum(axis=1)[:, -1])
             gi = d2.argmin(axis=0)
             gd = d2[gi, rows]
             better = gd < best_d2  # exact ties keep the smaller, earlier face
@@ -206,7 +225,7 @@ def brute_force_project(generators, x, eps=1e-8):
     neg = np.minimum(coeffs, 0.0)
     primal = float(np.linalg.norm(neg @ G[list(S), :]) if len(S) else 0.0)
     primal /= one + float(np.linalg.norm(p))
-    ghat = G / np.linalg.norm(G, axis=1, keepdims=True)
+    ghat = _unit_rows(G)
     err = u - p
     polar = float(max(0.0, (ghat @ err).max())) / (one + float(np.linalg.norm(u)))
     # 1 + |x|^2 on the scale of u; past 2^1023 the quotient is below 2^-1019 either way.
@@ -222,7 +241,8 @@ def brute_force_project(generators, x, eps=1e-8):
 
 def conic_feasibility(generators, x, eps=1e-8):
     """True iff ``x`` is within ``eps*(1+|x|)`` of a nonnegative combination,
-    tested on ``x`` scaled by a power of two so that no norm overflows."""
+    tested on ``x`` scaled by a power of two so that no norm overflows.
+    Raises ``ValueError`` on NaN/Inf entries (from :meth:`FaceTable.project`)."""
     table = generators if isinstance(generators, FaceTable) else FaceTable(generators)
     u, e = _unit_scaled(np.asarray(x, dtype=float))
     P, _ = table.project(u[None, :])
@@ -251,7 +271,7 @@ def double_description(halfspaces):
     k, m = B.shape
     if m > MAX_DD_DIM:
         raise ValueError(f"ray enumeration capped at dimension {MAX_DD_DIM}, got {m}")
-    Bn = B / np.linalg.norm(B, axis=1, keepdims=True)
+    Bn = _unit_rows(B)
 
     _, sv, Vt = np.linalg.svd(Bn, full_matrices=True)
     r = int(np.sum(sv > sv[0] * _RANK_RTOL))
@@ -273,13 +293,10 @@ def double_description(halfspaces):
             if np.all(Br @ d >= -_FEAS_TOL):
                 _push(d)
     else:
-        for S in itertools.combinations(range(k), r - 1):
-            A = Br[list(S), :]
-            _, sa, Va = np.linalg.svd(A, full_matrices=True)
-            rank = int(np.sum(sa > sa[0] * _RANK_RTOL)) if sa.size else 0
-            if rank != r - 1:
-                continue
-            d = Va[-1]
+        S = np.array(list(itertools.combinations(range(k), r - 1)))
+        _, sa, Va = np.linalg.svd(Br[S], full_matrices=True)
+        rank = (sa > sa[:, :1] * _RANK_RTOL).sum(axis=1)
+        for d in Va[rank == r - 1, -1]:  # null direction of each independent subset
             for sign in (1.0, -1.0):
                 cand = sign * d
                 if np.all(Br @ cand >= -_FEAS_TOL):
