@@ -443,7 +443,7 @@ def cone_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("cone JSON must be an object")
     kind = obj.get("type")
-    if kind not in _JSON_KEYS:
+    if not isinstance(kind, str) or kind not in _JSON_KEYS:
         raise ValueError(f"unknown cone type: {kind!r}")
     unknown = set(obj) - _JSON_KEYS[kind]
     if unknown:

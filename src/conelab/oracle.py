@@ -92,8 +92,9 @@ class FaceTable:
 
     def __init__(self, generators):
         G = _as_generator_matrix(generators)
-        # A row far outside [2^-500, 2^500) is scaled by a power of two into
-        # [0.5, 1): the cone is the same, and its pseudo-inverse stays finite.
+        # A row whose largest entry is outside [2^-501, 2^500) is scaled by a
+        # power of two into [0.5, 1): the cone is the same, and the
+        # pseudo-inverse of a subnormal row no longer overflows.
         e = np.frexp(np.abs(G).max(axis=1))[1]
         G = np.ldexp(G, -np.where(np.abs(e) > 500, e, 0)[:, None])
         self.generators = G
@@ -151,9 +152,9 @@ class FaceTable:
             P = GS @ C                              # (n_s, m, n)
             s_idx, n_idx = np.nonzero(feasible)
             R = X[n_idx] - P[s_idx, :, n_idx]      # x - p at the feasible pairs only
-            # Rounded as einsum("smn,smn->sn") rounds the squared distances of
-            # the whole chunk: a vectorised reduction for one point, a sum in
-            # coordinate order for several.
+            # Squared distances round as one einsum over the whole chunk rounds
+            # them: numpy's vectorised reduction for a single point, a sum in
+            # coordinate order for several.  The winners depend on these bits.
             d2 = np.full(feasible.shape, np.inf)
             d2[s_idx, n_idx] = (np.einsum("ij,ij->i", R, R) if n == 1
                                 else (R * R).cumsum(axis=1)[:, -1])

@@ -207,7 +207,7 @@ def pair_from_json(obj, tol=DEFAULT_TOL):
     if not isinstance(obj, dict):
         raise ValueError("pair descriptor must be a JSON object")
     family = obj.get("family")
-    if family not in _PAIR_KEYS:
+    if not isinstance(family, str) or family not in _PAIR_KEYS:
         raise ValueError(f"unknown pair family: {family!r}")
     unknown = set(obj) - _PAIR_KEYS[family]
     if unknown:

@@ -1,10 +1,15 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conelab.cli import _COMMANDS, build_parser, main
 
@@ -330,3 +335,104 @@ def test_wrong_typed_json_exit_two(tmp_path, capsys, command, config):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("conelab: error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cone,message", [
+    ({"type": "generators", "vectors": [1.0, 2.0]}, "generator vectors must be a list of vectors"),
+    ({"type": "halfspaces", "normals": [1.0, 2.0]}, "halfspace normals must be a list of vectors"),
+], ids=["flat-vectors", "flat-normals"])
+def test_flat_vector_list_exit_two(tmp_path, capsys, cone, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "moreau", "cone": cone}, "samples": 20}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"conelab: error: {message}") and err.count("\n") == 1
+
+
+# Generated bad configs: each breaks one rule of the config schema.
+_NUMBER = st.floats(-10.0, 10.0, allow_nan=False)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NOT_AN_INT = st.sampled_from([None, 2.5, "3", True, [2], {}])
+
+
+def _with_entry(vectors, i, value):
+    rows = [list(row) for row in vectors]
+    rows[i % len(rows)][0] = value
+    return rows
+
+
+def _rows(min_size=1):
+    return st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.lists(_NUMBER, min_size=m, max_size=m),
+                           min_size=min_size, max_size=4))
+
+
+_BAD_CONES = st.one_of(
+    st.lists(_NUMBER, min_size=1, max_size=4).map(
+        lambda v: {"type": "generators", "vectors": v}),
+    st.lists(_NUMBER, min_size=1, max_size=4).map(
+        lambda v: {"type": "halfspaces", "normals": v}),
+    st.tuples(_rows(), st.integers(0, 3), _NON_FINITE).map(
+        lambda t: {"type": "generators", "vectors": _with_entry(*t)}),
+    st.tuples(_rows(), st.integers(0, 3), _NON_FINITE).map(
+        lambda t: {"type": "halfspaces", "normals": _with_entry(*t)}),
+    st.tuples(_rows(), st.integers(0, 3)).map(
+        lambda t: {"type": "generators", "vectors": t[0] + [[0.0] * len(t[0][0])]}),
+    st.tuples(_rows(), st.integers(1, 3)).map(  # ragged
+        lambda t: {"type": "halfspaces", "normals": t[0] + [[1.0] * (len(t[0][0]) + t[1])]}),
+    st.sampled_from(["vectors", "normals", "basis", "dim"]).map(
+        lambda key: {"type": "generators" if key != "normals" else "halfspaces",
+                     "vectors" if key == "basis" else key: "1, 2"}),
+    st.sampled_from(["cube", "Orthant", None, 3, []]).map(lambda kind: {"type": kind, "dim": 2}),
+    _NOT_AN_INT.map(lambda d: {"type": "orthant", "dim": d}),
+    st.text(max_size=6).map(lambda key: {"type": "orthant", "dim": 2, "x-" + key: 1}),
+)
+
+_BAD_CONFIGS = st.one_of(
+    _BAD_CONES.map(lambda cone: ("verify", {"pair": {"family": "moreau", "cone": cone},
+                                            "samples": 20})),
+    st.sampled_from([0, -3, 2.5, "10", True, None]).map(
+        lambda n: ("verify", {"pair": _LATTICE_2, "samples": n})),
+    st.sampled_from([-1, 1.5, None, "0", False]).map(
+        lambda n: ("batch", {"pairs": [_LATTICE_2], "samples": 20, "seed": n})),
+    st.sampled_from([0.0, -1e-8, None, "1e-8", True, [1e-8], float("nan"), float("inf")]).map(
+        lambda t: ("verify", {"pair": _LATTICE_2, "samples": 20,
+                              "tolerances": {"membership": t}})),
+    st.text(max_size=6).map(lambda key: ("verify", {"pair": _LATTICE_2, "x-" + key: 1})),
+    st.sampled_from(["csv", "xml", 3, None]).map(
+        lambda fmt: ("verify", {"pair": _LATTICE_2, "samples": 20, "format": fmt})),
+    st.sampled_from(["moreau", "minkowski", "Lattice", None, [], {}]).map(
+        lambda family: ("verify", {"pair": {"family": family}, "samples": 20})),
+    st.tuples(st.sampled_from(["u", "v"]), _NON_FINITE).map(
+        lambda t: ("sup", dict(_SUP_CONFIG, **{t[0]: [t[1], 0.0]}))),
+    st.lists(_NUMBER, min_size=3, max_size=5).map(lambda u: ("sup", dict(_SUP_CONFIG, u=u))),
+    st.sampled_from([[], [1.0], 1.0, None, "1"]).map(
+        lambda pairs: ("batch", {"pairs": pairs, "samples": 20})),
+    st.sampled_from([[1], 1.0, "[]", None]).map(
+        lambda cfg: ("verify", cfg)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_BAD_CONFIGS)
+@example(case=("verify", {"pair": {"family": "moreau",
+                                   "cone": {"type": "generators", "vectors": [1.0, 2.0]}}}))
+@example(case=("verify", {"pair": {"family": "moreau",
+                                   "cone": {"type": "halfspaces", "normals": [1.0, 2.0]}}}))
+@example(case=("verify", {"pair": {"family": "moreau", "cone": {
+    "type": "halfspaces", "normals": [[float("nan"), 0.0], [0.0, 1.0]]}}}))
+@example(case=("sup", dict(_SUP_CONFIG, u=[float("inf"), 0.0])))
+@example(case=("verify", {"pair": {"family": "moreau", "cone": {"type": [], "dim": 2}}}))
+def test_generated_bad_configs_exit_two(case):
+    command, config = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--config", cfg])
+    assert code == 2, err.getvalue()
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("conelab: error: "), lines

@@ -333,3 +333,13 @@ def test_membership_of_huge_and_tiny_points():
         assert contains(Orthant(2), [s, 0.0])
         assert contains(Orthant(2), [-s, 0.0]) == (s < 1e-7)
     assert Lorentz(3).membership_residual([1e200, 0.0, -1e200]) == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("g", [1e-320, 1e-200, 1e200, 1e308])
+def test_huge_and_tiny_generators_and_normals(g):
+    # Each describes the orthant: a row's norm may overflow or underflow, its
+    # direction may not be lost.
+    for K in (PolyhedralHalfspaces([[g, 0.0], [0.0, 1.0]]),
+              PolyhedralGenerators([[g, 0.0], [0.0, 1.0]])):
+        assert contains(K, [3.0, 2.0])
+        assert not contains(K, [-1.0, 2.0]) and not contains(K, [3.0, -1.0])

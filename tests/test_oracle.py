@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from conelab import (Lorentz, Orthant, brute_force_project, conic_feasibility,
                      double_description, lorentz_reference_project, project_cone)
-from conelab.oracle import FaceTable
+from conelab.oracle import FaceTable, _unit_rows
 from conelab.sampling import gaussian_points, rng_for
 
 WEDGE = np.array([[1.0, 0.0], [1.0, 1.0]])  # generators of an acute planar cone
@@ -173,3 +175,155 @@ def test_feasibility_and_certificate_across_scales(scale):
 def test_feasibility_of_the_huge_outside_point():
     assert not conic_feasibility(WEDGE, [3e160, -1e160])
     assert conic_feasibility(WEDGE, [3e160, 1e160])
+
+
+# Per-subset references: the loops the batched FaceTable and double
+# description replaced.  The batched code must reproduce them bit for bit.
+
+def _reference_table(G):
+    k, m = G.shape
+    subsets, groups = [()], []
+    for size in range(1, min(k, m) + 1):
+        idx_rows, w_rows, g_rows = [], [], []
+        for S in itertools.combinations(range(k), size):
+            GS = G[list(S), :].T
+            sv = np.linalg.svd(GS, compute_uv=False)
+            if sv[-1] <= sv[0] * 1e-12:
+                continue
+            idx_rows.append(S)
+            w_rows.append(np.linalg.pinv(GS))
+            g_rows.append(GS)
+        if idx_rows:
+            groups.append((np.array(w_rows), np.array(g_rows)))
+            subsets.extend(idx_rows)
+    return subsets, groups
+
+
+def _reference_project(groups, dim, X):
+    _, e = np.frexp(np.abs(X).max(axis=1))
+    X = np.ldexp(X, -e[:, None])
+    n = X.shape[0]
+    best_p, best_d2 = np.zeros_like(X), np.einsum("ij,ij->i", X, X)
+    best_sub = np.zeros(n, dtype=int)
+    max_rows = max((w.shape[0] * w.shape[1] for w, _ in groups), default=1)
+    chunk = max(64, int(4e6 / max(1, max_rows * dim)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        XT, rows, offset = X[lo:hi].T, np.arange(hi - lo), 1
+        for W, GS in groups:
+            C = W @ XT
+            scale = 1.0 + np.abs(C).max(axis=1, keepdims=True)
+            feasible = (C >= -1e-12 * scale).all(axis=1)
+            P = GS @ C
+            R = XT[None, :, :] - P
+            d2 = np.where(feasible, np.einsum("smn,smn->sn", R, R), np.inf)
+            gi = d2.argmin(axis=0)
+            gd = d2[gi, rows]
+            better = gd < best_d2[lo:hi]
+            best_d2[lo:hi][better] = gd[better]
+            best_sub[lo:hi][better] = offset + gi[better]
+            best_p[lo:hi][better] = P[gi, :, rows][better]
+            offset += W.shape[0]
+    return np.ldexp(best_p, e[:, None]), best_sub
+
+
+def _reference_rays(N):
+    """Rays of a pointed cone of full rank r = m >= 2, enumerated per subset."""
+    Br = N / np.linalg.norm(N, axis=1, keepdims=True)
+    _, sv, Vt = np.linalg.svd(Br, full_matrices=True)
+    Br = Br @ Vt.T
+    r = Br.shape[1]
+    rays = []
+    for S in itertools.combinations(range(Br.shape[0]), r - 1):
+        _, sa, Va = np.linalg.svd(Br[list(S), :], full_matrices=True)
+        if np.sum(sa > sa[0] * 1e-12) != r - 1:
+            continue
+        for cand in (Va[-1], -Va[-1]):
+            if np.all(Br @ cand >= -1e-9) and all(np.linalg.norm(d - cand) > 1e-9
+                                                  for d in rays):
+                rays.append(cand)
+    return [v / np.linalg.norm(v) for v in (Vt.T @ d for d in rays)]
+
+
+def _random_generators(rng, k, m):
+    G = rng.standard_normal((k, m))
+    if k > 2:
+        G[k - 1] = G[0]  # a duplicated generator: its faces tie exactly
+    return G
+
+
+@pytest.mark.parametrize("k,m", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 5), (6, 4), (7, 9),
+                                 (9, 5), (10, 3), (12, 6), (12, 12), (12, 16)])
+def test_face_table_matches_per_subset_reference(k, m):
+    rng = rng_for(k * 100 + m, "face-table-reference")
+    G = _random_generators(rng, k, m)
+    table = FaceTable(G)
+    subsets, groups = _reference_table(G)
+    assert table.subsets == subsets
+    assert len(table._groups) == len(groups)
+    for (W, GS), (W0, GS0) in zip(table._groups, groups):
+        assert np.array_equal(W, W0) and np.array_equal(GS, GS0)
+    inside = rng.uniform(0.0, 1.0, (40, k)) @ G  # points already in the cone
+    X = np.vstack([gaussian_points(rng, 300, m), inside])
+    chunk = max(64, int(4e6 / max(w.shape[0] * w.shape[1] for w, _ in groups) / m))
+    batches = [X[:1], inside[:1], X[:2], X[:65], X, np.ldexp(X, 600), np.ldexp(X, -600),
+               np.ldexp(X * rng.uniform(0.5, 2.0, (len(X), 1)), -600)]
+    if chunk < 3 * len(X):
+        batches.append(np.resize(X, (chunk + 1, m)))  # a last chunk of one point
+    for Y in batches:
+        P, S = table.project(Y)
+        P0, S0 = _reference_project(groups, m, Y)
+        assert np.array_equal(P, P0) and np.array_equal(S, S0)
+
+
+@pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (3, 3), (5, 3), (6, 4), (8, 5), (12, 6),
+                                 (12, 10)])
+def test_double_description_matches_per_subset_reference(k, m):
+    rng = rng_for(k * 100 + m, "dd-reference")
+    N = rng.standard_normal((k, m))
+    N[:, -1] = np.abs(N[:, -1]) + 0.5  # every normal leans on the last axis: pointed
+    if k > m:
+        N[k - 1] = N[0]  # a duplicated normal, keeping the normals of full rank
+    rays = double_description(N)
+    reference = _reference_rays(N)
+    assert len(rays) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(rays, reference))
+
+
+def test_double_description_of_huge_and_tiny_normals():
+    for big in (1e200, 1e308, 1e-200, 1e-320):
+        rays = double_description([[big, 0.0], [0.0, 1.0]])
+        assert sorted(map(tuple, rays)) == [(0.0, 1.0), (1.0, 0.0)]
+    rng = rng_for(5, "dd-scales")
+    N = rng.standard_normal((7, 4))
+    N[:, -1] = np.abs(N[:, -1]) + 0.5
+    rays = double_description(N)
+    assert len(rays) >= 4
+    for k in range(-990, 991, 45):
+        for scaled in (np.ldexp(N, k), np.ldexp(N, rng.integers(-abs(k), abs(k) + 1, (7, 1)))):
+            out = double_description(scaled)
+            assert len(out) == len(rays) and all(np.array_equal(a, b) for a, b in zip(out, rays))
+            assert (_unit_rows(scaled) @ np.array(out).T >= -1e-9).all()
+
+
+def test_face_table_of_huge_and_tiny_generators():
+    # Rows far outside [2^-500, 2^500) are rescaled; the cone is the orthant.
+    X = np.array([[-1.0, 2.0], [3.0, -1.0], [3.0, 2.0]])
+    for g in (1e-200, 1e-320, 1e200, 1e308):
+        table = FaceTable([[g, 0.0], [0.0, 1.0]])
+        assert table.subsets == [(), (0,), (1,), (0, 1)]
+        P, _ = table.project(X)
+        np.testing.assert_allclose(P, np.clip(X, 0.0, None), rtol=1e-15, atol=0.0)
+        assert conic_feasibility(table, [3.0, 2.0])
+        assert brute_force_project(table, [3.0, -1.0]).accepted(1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    table = FaceTable(WEDGE)
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        table.project([[1.0, 1.0], [bad, 0.0]])
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        conic_feasibility(WEDGE, [0.0, bad])
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        brute_force_project(table, [bad, 1.0])
