@@ -361,10 +361,9 @@ def _with_entry(vectors, i, value):
     return rows
 
 
-def _rows(min_size=1):
+def _rows():
     return st.integers(1, 4).flatmap(
-        lambda m: st.lists(st.lists(_NUMBER, min_size=m, max_size=m),
-                           min_size=min_size, max_size=4))
+        lambda m: st.lists(st.lists(_NUMBER, min_size=m, max_size=m), min_size=1, max_size=4))
 
 
 _BAD_CONES = st.one_of(
@@ -376,13 +375,11 @@ _BAD_CONES = st.one_of(
         lambda t: {"type": "generators", "vectors": _with_entry(*t)}),
     st.tuples(_rows(), st.integers(0, 3), _NON_FINITE).map(
         lambda t: {"type": "halfspaces", "normals": _with_entry(*t)}),
-    st.tuples(_rows(), st.integers(0, 3)).map(
-        lambda t: {"type": "generators", "vectors": t[0] + [[0.0] * len(t[0][0])]}),
+    _rows().map(lambda rows: {"type": "generators", "vectors": rows + [[0.0] * len(rows[0])]}),
     st.tuples(_rows(), st.integers(1, 3)).map(  # ragged
         lambda t: {"type": "halfspaces", "normals": t[0] + [[1.0] * (len(t[0][0]) + t[1])]}),
-    st.sampled_from(["vectors", "normals", "basis", "dim"]).map(
-        lambda key: {"type": "generators" if key != "normals" else "halfspaces",
-                     "vectors" if key == "basis" else key: "1, 2"}),
+    st.sampled_from([("generators", "vectors"), ("halfspaces", "normals"),
+                     ("simplicial", "basis")]).map(lambda t: {"type": t[0], t[1]: "1, 2"}),
     st.sampled_from(["cube", "Orthant", None, 3, []]).map(lambda kind: {"type": kind, "dim": 2}),
     _NOT_AN_INT.map(lambda d: {"type": "orthant", "dim": d}),
     st.text(max_size=6).map(lambda key: {"type": "orthant", "dim": 2, "x-" + key: 1}),
