@@ -176,6 +176,18 @@ class ConeSpec:
     def _finish(self, res, single):
         return float(res[0]) if single else res
 
+    def _table(self):
+        """The ``FaceTable`` of :func:`generators_of`, built once per cone."""
+        t = getattr(self, "_face_table", None)
+        if t is None:
+            G = generators_of(self)
+            if len(G) > oracle.MAX_GENERATORS:
+                raise ValueError(f"cone has {len(G)} extreme rays, but the face-table "
+                                 f"projector takes at most {oracle.MAX_GENERATORS}")
+            t = oracle.FaceTable(G)
+            object.__setattr__(self, "_face_table", t)
+        return t
+
 
 @dataclass(frozen=True, eq=False)
 class Simplicial(ConeSpec):
@@ -268,13 +280,6 @@ class PolyhedralGenerators(ConeSpec):
     def dim(self):
         return self.vectors.shape[1]
 
-    def _table(self):
-        t = getattr(self, "_face_table", None)
-        if t is None:
-            t = oracle.FaceTable(self.vectors)
-            object.__setattr__(self, "_face_table", t)
-        return t
-
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
         table = self._table()
@@ -289,20 +294,20 @@ class PolyhedralHalfspaces(ConeSpec):
     normals: np.ndarray
 
     def __post_init__(self):
-        N = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        if N.ndim != 2 or N.size == 0:
-            raise ValueError("halfspace normals must be a non-empty list of vectors")
-        if not np.all(np.isfinite(N)):
-            raise ValueError("halfspace normals have NaN/Inf entries")
-        if N.shape[1] > MAX_DENSE_DIM:
-            raise ValueError(f"dimension cap {MAX_DENSE_DIM} exceeded")
-        if not N.any(axis=1).all():
-            raise ValueError("zero normal not allowed")
+        N = oracle._as_generator_matrix(self.normals, max_rows=math.inf)
         object.__setattr__(self, "normals", _readonly(N))
 
     @property
     def dim(self):
         return self.normals.shape[1]
+
+    def _rays(self):
+        """Extreme rays, then lineality pairs, by double description; built once, read-only."""
+        r = getattr(self, "_ray_rows", None)
+        if r is None:
+            r = _readonly(oracle.double_description(self.normals))
+            object.__setattr__(self, "_ray_rows", r)
+        return r
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
@@ -357,8 +362,7 @@ def polar(cone):
             sv = np.linalg.svd(N, compute_uv=False)
             if sv[-1] > sv[0] * _SINGULAR_RTOL:
                 return PolyhedralGenerators(-N)
-        rays = oracle.double_description(N)
-        return PolyhedralHalfspaces(-np.array(rays))
+        return PolyhedralHalfspaces(-cone._rays())
     raise ValueError(f"unsupported cone: {cone!r}")
 
 
@@ -366,14 +370,8 @@ def is_generating(cone):
     """True iff K - K spans the whole space (numerical rank test)."""
     if isinstance(cone, (Simplicial, Lorentz)):
         return True
-    if isinstance(cone, PolyhedralGenerators):
-        sv = np.linalg.svd(cone.vectors, compute_uv=False)
-        return int(np.sum(sv > sv[0] * 1e-9)) == cone.dim
-    if isinstance(cone, PolyhedralHalfspaces):
-        span = np.array(oracle.double_description(cone.normals))
-        sv = np.linalg.svd(span, compute_uv=False)
-        return int(np.sum(sv > sv[0] * 1e-9)) == cone.dim
-    raise ValueError(f"unsupported cone: {cone!r}")
+    sv = np.linalg.svd(generators_of(cone), compute_uv=False)
+    return int(np.sum(sv > sv[0] * 1e-9)) == cone.dim
 
 
 def is_pointed(cone, tol=DEFAULT_TOL):
@@ -386,11 +384,7 @@ def is_pointed(cone, tol=DEFAULT_TOL):
         return int(np.sum(sv > sv[0] * 1e-9)) == cone.dim
     if isinstance(cone, PolyhedralGenerators):
         # K contains a line iff -g lies back in K for some generator g.
-        table = cone._table()
-        for g in cone.vectors:
-            if oracle.conic_feasibility(table, -g, eps=tol.eps_membership):
-                return False
-        return True
+        return not contains(cone, -generators_of(cone), tol).any()
     raise ValueError(f"unsupported cone: {cone!r}")
 
 
@@ -425,7 +419,7 @@ def generators_of(cone):
     if isinstance(cone, PolyhedralGenerators):
         return cone.vectors.copy()
     if isinstance(cone, PolyhedralHalfspaces):
-        return np.array(oracle.double_description(cone.normals))
+        return cone._rays().copy()
     raise ValueError("cone is not polyhedral")
 
 

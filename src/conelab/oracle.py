@@ -26,18 +26,19 @@ _FEAS_TOL = 1e-9
 
 
 def _as_generator_matrix(generators, max_rows=MAX_GENERATORS):
+    """Validate a list of nonzero vectors (generators or normals) as a float matrix."""
     G = np.atleast_2d(np.asarray(generators, dtype=float))
     if G.ndim != 2 or G.size == 0:
-        raise ValueError("generators must be a non-empty list of vectors")
+        raise ValueError("expected a non-empty list of vectors")
     if not np.all(np.isfinite(G)):
-        raise ValueError("generators contain NaN/Inf entries")
+        raise ValueError("vectors contain NaN/Inf entries")
     k, m = G.shape
     if k > max_rows:
-        raise ValueError(f"at most {max_rows} generators supported, got {k}")
+        raise ValueError(f"at most {max_rows} vectors supported, got {k}")
     if m > MAX_DIM:
         raise ValueError(f"dimension cap {MAX_DIM} exceeded, got {m}")
     if not G.any(axis=1).all():
-        raise ValueError("zero generator not allowed")
+        raise ValueError("zero vector not allowed")
     return G
 
 
@@ -81,22 +82,23 @@ class FaceTable:
     feasible candidate is the exact projection, because the true nearest
     point lies on some face and is itself such a candidate.
 
-    Subsets are ordered by size, then lexicographically; rank-deficient
-    subsets are skipped.  The empty subset (candidate 0, the origin) is
-    always present.  The subsets of one size are factored together, in one
-    batched SVD (the rank test) and one batched pseudo-inverse.  A
-    projection forms ``x - p`` and its squared length only for the
-    (subset, point) pairs whose coefficients are feasible; exact distance
-    ties go to the earlier, smaller face.
+    Each generator row is first scaled by a power of two to a largest entry
+    in [0.5, 1), so generators that differ only in length give the same
+    table, bit for bit.  Subsets are ordered by size, then lexicographically;
+    rank-deficient subsets are skipped.  The empty subset (candidate 0, the
+    origin) is always present.  The subsets of one size are factored
+    together, in one batched SVD (the rank test) and one batched
+    pseudo-inverse.  A projection forms ``x - p`` and its squared length
+    only for the (subset, point) pairs whose coefficients are feasible;
+    exact distance ties go to the earlier, smaller face.
     """
 
     def __init__(self, generators):
         G = _as_generator_matrix(generators)
-        # A row whose largest entry is outside [2^-501, 2^500) is scaled by a
-        # power of two into [0.5, 1): the cone is the same, and the
-        # pseudo-inverse of a subnormal row no longer overflows.
-        e = np.frexp(np.abs(G).max(axis=1))[1]
-        G = np.ldexp(G, -np.where(np.abs(e) > 500, e, 0)[:, None])
+        # Every row is scaled by a power of two to a largest entry in
+        # [0.5, 1): the cone is the same, the rank test and the pseudo-inverse
+        # cutoff no longer see the rows' lengths, and no pseudo-inverse overflows.
+        G = np.ldexp(G, -np.frexp(np.abs(G).max(axis=1))[1][:, None])
         self.generators = G
         k, m = G.shape
         self.dim = m

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import oracle
 from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfspaces,
                     Simplicial, _as_batch, _row_exponents, as_vector, cone_from_json,
                     cone_to_json, negate, polar, to_halfspaces)
@@ -48,7 +47,7 @@ def _projector(cone):
     Lorentz cones use a closed form, simplicial bases with orthogonal
     columns (the orthant among them) clamp scaled coordinates (exact, and
     much cheaper than enumeration), and all remaining polyhedral cones go
-    through face enumeration.
+    through face enumeration on the cone's own ``FaceTable``.
     """
     if isinstance(cone, Lorentz):
         if cone.negated:
@@ -61,16 +60,8 @@ def _projector(cone):
         if np.abs(off).max() <= _ORTHO_RTOL * np.diag(gram).max():
             d = np.diag(gram).copy()
             return lambda X: np.clip((X @ A) / d, 0.0, None) @ A.T
-        table = oracle.FaceTable(A.T)
-        return lambda X: table.project(X)[0]
-    if isinstance(cone, PolyhedralGenerators):
-        table = cone._table()  # shared with the cone's membership test
-        return lambda X: table.project(X)[0]
-    if isinstance(cone, PolyhedralHalfspaces):
-        rays = oracle.double_description(cone.normals)
-        table = oracle.FaceTable(np.array(rays))
-        return lambda X: table.project(X)[0]
-    raise ValueError(f"unsupported cone: {cone!r}")
+    table = cone._table()  # a generator cone's membership test shares it
+    return lambda X: table.project(X)[0]
 
 
 def project_cone(cone, x):

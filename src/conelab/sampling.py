@@ -6,8 +6,7 @@ import hashlib
 
 import numpy as np
 
-from .cones import (Lorentz, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                    generators_of)
+from .cones import Lorentz, Simplicial, generators_of
 
 
 def rng_for(seed, key):
@@ -37,8 +36,6 @@ def cone_members(cone, rng, n):
         t = radius * (1.0 + np.abs(rng.standard_normal(n)))
         pts = np.concatenate([bar, t[:, None]], axis=1) / np.sqrt(m)
         return -pts if cone.negated else pts
-    if isinstance(cone, (PolyhedralGenerators, PolyhedralHalfspaces)):
-        G = generators_of(cone)
-        coeff = np.abs(rng.standard_normal((n, G.shape[0]))) / G.shape[0]
-        return coeff @ G
-    raise ValueError(f"unsupported cone: {cone!r}")
+    G = generators_of(cone)  # raises for a cone that is not polyhedral
+    coeff = np.abs(rng.standard_normal((n, G.shape[0]))) / G.shape[0]
+    return coeff @ G

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -347,6 +348,19 @@ def test_flat_vector_list_exit_two(tmp_path, capsys, cone, message):
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"conelab: error: {message}") and err.count("\n") == 1
+
+
+def test_projector_cap_exit_two(tmp_path, capsys):
+    # The polar of 12 generic generators in R^6 has 38 extreme rays.
+    vectors = np.random.default_rng(0).standard_normal((12, 6)).tolist()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "moreau",
+                                        "cone": {"type": "generators", "vectors": vectors}},
+                               "samples": 20}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("conelab: error: cone has 38 extreme rays, but the face-table "
+                   "projector takes at most 12\n")
 
 
 # Generated bad configs: each breaks one rule of the config schema.

@@ -258,7 +258,8 @@ def test_face_table_matches_per_subset_reference(k, m):
     rng = rng_for(k * 100 + m, "face-table-reference")
     G = _random_generators(rng, k, m)
     table = FaceTable(G)
-    subsets, groups = _reference_table(G)
+    # The table first scales each row by a power of two to a largest entry in [0.5, 1).
+    subsets, groups = _reference_table(np.ldexp(G, -np.frexp(np.abs(G).max(axis=1))[1][:, None]))
     assert table.subsets == subsets
     assert len(table._groups) == len(groups)
     for (W, GS), (W0, GS0) in zip(table._groups, groups):
@@ -316,6 +317,24 @@ def test_face_table_of_huge_and_tiny_generators():
         np.testing.assert_allclose(P, np.clip(X, 0.0, None), rtol=1e-15, atol=0.0)
         assert conic_feasibility(table, [3.0, 2.0])
         assert brute_force_project(table, [3.0, -1.0]).accepted(1e-12)
+
+
+def test_face_table_rank_test_ignores_generator_lengths():
+    # The generators span the orthant; a short one must not hide the full face.
+    P, S = FaceTable([[1e-100, 0.0], [0.0, 1.0]]).project([[3.0, 2.0]])
+    assert S[0] == 3
+    np.testing.assert_allclose(P[0], [3.0, 2.0], rtol=1e-15, atol=0.0)
+
+
+def test_face_table_projects_alike_at_any_generator_lengths():
+    rng = rng_for(11, "face-table-lengths")
+    G = _random_generators(rng, 6, 4)
+    X = gaussian_points(rng, 200, 4)
+    P0, S0 = FaceTable(G).project(X)
+    for _ in range(5):
+        k = rng.integers(-300, 301, len(G))
+        P, S = FaceTable(np.ldexp(G, k[:, None])).project(X)
+        assert np.array_equal(P, P0) and np.array_equal(S, S0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -5,6 +5,7 @@ from conelab import (FaceTable, Lorentz, Orthant, PolyhedralGenerators, Polyhedr
                      Simplicial, contains, is_generating, lattice_pair,
                      minkowski_pair, moreau_pair, pair_from_json, project_cone,
                      sample_simplicial)
+from conelab import oracle, run_catalogue
 from conelab.sampling import gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -144,6 +145,44 @@ def test_moreau_generator_cone_builds_one_face_table(monkeypatch):
     pair.m(X)
     pair.cone_m.membership_residual(X)
     assert sum(np.array_equal(G, cone.vectors) for G in built) == 1
+
+
+# A rotated orthant of R^3 (orthonormal rows of _Q) with two redundant
+# interior rows, once as halfspace normals and once as generators.
+_Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
+_REDUNDANT = np.vstack([_Q, [[0.3, 0.6, 0.9], [1.0, 0.2, 0.4]] @ _Q])
+
+
+@pytest.mark.parametrize("make, dd_calls, tables", [
+    (lambda: PolyhedralHalfspaces(_REDUNDANT), 2, 2),
+    (lambda: PolyhedralGenerators(_REDUNDANT), 1, 2),
+], ids=["halfspaces", "generators"])
+def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_calls, tables):
+    # Rays come from one double description per halfspace cone (the cone and
+    # its polar), and each cone's FaceTable is built once.
+    counts = {"dd": 0, "tables": 0}
+    dd, init = oracle.double_description, FaceTable.__init__
+
+    def counting_dd(normals):
+        counts["dd"] += 1
+        return dd(normals)
+
+    def counting_init(self, generators):
+        counts["tables"] += 1
+        init(self, generators)
+
+    monkeypatch.setattr(oracle, "double_description", counting_dd)
+    monkeypatch.setattr(FaceTable, "__init__", counting_init)
+    run_catalogue(moreau_pair(make()), 200, 1)
+    assert (counts["dd"], counts["tables"]) == (dd_calls, tables)
+
+
+def test_projector_cap_names_the_extreme_rays():
+    # The polar of 12 generic generators in R^6 has 38 extreme rays.
+    cone = PolyhedralGenerators(np.random.default_rng(0).standard_normal((12, 6)))
+    with pytest.raises(ValueError, match="^cone has 38 extreme rays, but the face-table "
+                                         "projector takes at most 12$"):
+        moreau_pair(cone)
 
 
 def test_minkowski_examples():
