@@ -19,6 +19,14 @@ from . import oracle
 
 MAX_DENSE_DIM = 16
 _SINGULAR_RTOL = 1e-12
+# A generator is tight on a polar ray when their unit vectors' inner product
+# is within the double description's feasibility slack; a set of vectors has
+# the rank of its singular values above this share of the largest.
+_TIGHT_TOL = oracle._FEAS_TOL
+_RANK_RTOL = 1e-9
+# A generator leaves the ray matrix only when the kept rays reproduce it to
+# this relative distance.
+_REPRODUCE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,10 +159,40 @@ def _relative(violation, *arrays, size=None):
     return violation(*arrays) / (one + norm)
 
 
+def _rank(A, rtol=_RANK_RTOL):
+    """Numerical rank: singular values above ``rtol`` times the largest."""
+    if A.size == 0:
+        return 0
+    sv = np.linalg.svd(A, compute_uv=False)
+    return int(np.sum(sv > sv[0] * rtol))
+
+
+def _canonical_rows(R):
+    """The directions of the rows of ``R`` as a matrix that does not depend on
+    their order or lengths: unit rows (normalized after an exact power-of-two
+    scaling, so rows that differ by 2^k give the same bits), without a row
+    within ``_REPRODUCE_RTOL`` of an earlier kept one.  Rows are in
+    lexicographic order of their entries rounded to 9 decimals, then of the
+    entries themselves, so that rounding noise (a ray found by double
+    description, not listed) does not reorder them."""
+    U = oracle._unit_rows(R) + 0.0  # -0.0 reads as 0.0
+    keep = []
+    for i in np.lexsort(np.vstack([U.T[::-1], np.round(U, 9).T[::-1]])):
+        if all(np.abs(U[i] - U[j]).max() > _REPRODUCE_RTOL for j in keep):
+            keep.append(i)
+    return U[keep]
+
+
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _with_rays(cone, rays):
+    """``cone`` with its ray matrix already known, so it runs no double description."""
+    object.__setattr__(cone, "_ray_rows", _readonly(rays))
+    return cone
 
 
 class ConeSpec:
@@ -280,6 +318,67 @@ class PolyhedralGenerators(ConeSpec):
     def dim(self):
         return self.vectors.shape[1]
 
+    def _rays(self):
+        """The canonical ray matrix of :func:`generators_of`; read-only."""
+        return self._derived()[0]
+
+    def _polar(self):
+        """The polar cone in halfspace form: the one object :func:`polar` returns."""
+        return self._derived()[1]
+
+    def _table(self):
+        t = self._derived()[2]
+        return super()._table() if t is None else t
+
+    def _derived(self):
+        d = getattr(self, "_derived_data", None)
+        if d is None:
+            d = self._derive()
+            object.__setattr__(self, "_derived_data", d)
+        return d
+
+    def _derive(self):
+        """(ray matrix, polar cone, ``FaceTable`` of the rays or None), from
+        one double description.
+
+        A generator is an extreme ray exactly when the polar rays it is tight
+        on have rank ``dim - 1`` (Motzkin et al. 1953).  A generator that
+        fails that test still stays unless the ``FaceTable`` of the kept rays,
+        which becomes this cone's table, reproduces it to ``_REPRODUCE_RTOL``.
+        The polar's rays and lineality pairs are then recomputed from the kept
+        rays alone, so redundant generators change neither matrix.
+        """
+        V, m = self.vectors, self.dim
+        if m > oracle.MAX_DD_DIM:
+            return V, PolyhedralHalfspaces(-V), None
+        pol = PolyhedralHalfspaces(-V)
+        P = oracle._unit_rows(pol._rays())
+        if _rank(P) < m:  # the cone holds a line: keep the listed generators
+            return V, pol, None
+        # Rows scaled by powers of two (exact), so no norm below overflows.
+        S = np.ldexp(V, -np.frexp(np.abs(V).max(axis=1))[1][:, None])
+        on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
+        sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
+        E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
+        table = oracle.FaceTable(E)
+        gap = np.linalg.norm(S - table.project(S)[0], axis=1)
+        missed = gap > _REPRODUCE_RTOL * np.linalg.norm(S, axis=1)
+        if missed.any():
+            E, table = _canonical_rows(np.vstack([E, S[missed]])), None
+        # In the span of the rays (basis Q), each polar ray is the null
+        # direction of the rays it is tight on.  The polar's lineality pairs,
+        # tight on every ray, span the rest of the space.
+        U = oracle._unit_rows(E)
+        _, sv, Vt = np.linalg.svd(U)
+        r = int(np.sum(sv > sv[0] * _RANK_RTOL))
+        Q = Vt[:r].T
+        tight = np.abs(P @ U.T) <= _TIGHT_TOL
+        tight = tight[~tight.all(axis=1)]
+        null = np.linalg.svd(tight[:, :, None] * (U @ Q))[2][:, -1] @ Q.T
+        R = _canonical_rows(np.where((null @ U.T).sum(axis=1, keepdims=True) > 0, -null, null))
+        lines = np.stack([Vt[r:], -Vt[r:]], axis=1).reshape(-1, m)
+        return _readonly(E), _with_rays(PolyhedralHalfspaces(-E), np.vstack([R, lines])), table
+
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
         table = self._table()
@@ -302,10 +401,16 @@ class PolyhedralHalfspaces(ConeSpec):
         return self.normals.shape[1]
 
     def _rays(self):
-        """Extreme rays, then lineality pairs, by double description; built once, read-only."""
+        """Extreme rays in canonical order (see :func:`generators_of`), then
+        lineality pairs, by one double description of the canonical normals;
+        built once, read-only, and the same for any listing of the normals."""
         r = getattr(self, "_ray_rows", None)
         if r is None:
-            r = _readonly(oracle.double_description(self.normals))
+            N = _canonical_rows(self.normals)
+            R = np.reshape(oracle.double_description(N), (-1, self.dim))
+            # The lineality pairs come last, by the double description's own rank test.
+            rays = len(R) - 2 * (self.dim - oracle._row_space(oracle._unit_rows(N))[0])
+            r = _readonly(np.vstack([_canonical_rows(R[:rays]), R[rays:]]))
             object.__setattr__(self, "_ray_rows", r)
         return r
 
@@ -345,8 +450,9 @@ def polar(cone):
     """The polar cone {y : <x, y> <= 0 for all x in K}, exactly.
 
     Simplicial polars (the orthant's among them) use the inverse-transpose
-    basis, Lorentz polars are sign flips, generator form dualizes to
-    halfspaces, and halfspace form dualizes through ray enumeration unless
+    basis, Lorentz polars are sign flips, generator form dualizes to the
+    halfspaces of its ray matrix (the one object each cone keeps, rays
+    included), and halfspace form dualizes through ray enumeration unless
     the normal matrix is square and invertible.
     """
     if isinstance(cone, Simplicial):
@@ -354,7 +460,7 @@ def polar(cone):
     if isinstance(cone, Lorentz):
         return Lorentz(cone.dim, negated=not cone.negated)
     if isinstance(cone, PolyhedralGenerators):
-        return PolyhedralHalfspaces(-cone.vectors)
+        return cone._polar()
     if isinstance(cone, PolyhedralHalfspaces):
         N = cone.normals
         k, m = N.shape
@@ -362,7 +468,7 @@ def polar(cone):
             sv = np.linalg.svd(N, compute_uv=False)
             if sv[-1] > sv[0] * _SINGULAR_RTOL:
                 return PolyhedralGenerators(-N)
-        return PolyhedralHalfspaces(-cone._rays())
+        return PolyhedralHalfspaces(-generators_of(cone))
     raise ValueError(f"unsupported cone: {cone!r}")
 
 
@@ -370,8 +476,7 @@ def is_generating(cone):
     """True iff K - K spans the whole space (numerical rank test)."""
     if isinstance(cone, (Simplicial, Lorentz)):
         return True
-    sv = np.linalg.svd(generators_of(cone), compute_uv=False)
-    return int(np.sum(sv > sv[0] * 1e-9)) == cone.dim
+    return _rank(generators_of(cone)) == cone.dim
 
 
 def is_pointed(cone, tol=DEFAULT_TOL):
@@ -379,9 +484,7 @@ def is_pointed(cone, tol=DEFAULT_TOL):
     if isinstance(cone, (Simplicial, Lorentz)):
         return True
     if isinstance(cone, PolyhedralHalfspaces):
-        N = cone.normals
-        sv = np.linalg.svd(N, compute_uv=False)
-        return int(np.sum(sv > sv[0] * 1e-9)) == cone.dim
+        return _rank(cone.normals) == cone.dim
     if isinstance(cone, PolyhedralGenerators):
         # K contains a line iff -g lies back in K for some generator g.
         return not contains(cone, -generators_of(cone), tol).any()
@@ -413,13 +516,24 @@ def to_halfspaces(cone):
 
 
 def generators_of(cone):
-    """Generator rows for a polyhedral cone (ray enumeration for halfspaces)."""
+    """Generator rows for a polyhedral cone: the basis columns of a simplicial
+    cone, else the cone's canonical ray matrix.
+
+    The ray matrix holds the extreme rays only, as unit vectors, without
+    near-parallel duplicates, in lexicographic order; a halfspace cone's
+    lineality pairs follow its rays.  So it does not depend on how the cone
+    was listed, and a cone's generator and halfspace forms give the same
+    matrix up to rounding.  A generator cone that holds a line, or whose
+    dimension exceeds ``oracle.MAX_DD_DIM``, keeps its listed generators.
+    Raises for the cone {0}, which has no generator.
+    """
     if isinstance(cone, Simplicial):
         return cone.basis.T.copy()
-    if isinstance(cone, PolyhedralGenerators):
-        return cone.vectors.copy()
-    if isinstance(cone, PolyhedralHalfspaces):
-        return cone._rays().copy()
+    if isinstance(cone, (PolyhedralGenerators, PolyhedralHalfspaces)):
+        R = cone._rays()
+        if not len(R):
+            raise ValueError("cone is {0}: no nonzero point meets all its halfspaces")
+        return R.copy()
     raise ValueError("cone is not polyhedral")
 
 

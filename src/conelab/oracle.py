@@ -51,6 +51,13 @@ def _unit_rows(B):
     return S / np.linalg.norm(S, axis=1, keepdims=True)
 
 
+def _row_space(Bn):
+    """(numerical rank, right singular vectors) of the unit normals ``Bn``:
+    :func:`double_description` appends one lineality pair per rank they lack."""
+    _, sv, Vt = np.linalg.svd(Bn, full_matrices=True)
+    return int(np.sum(sv > sv[0] * _RANK_RTOL)), Vt
+
+
 @dataclass(frozen=True)
 class ProjectionCertificate:
     """Certified nearest point of a finitely generated cone.
@@ -276,8 +283,7 @@ def double_description(halfspaces):
         raise ValueError(f"ray enumeration capped at dimension {MAX_DD_DIM}, got {m}")
     Bn = _unit_rows(B)
 
-    _, sv, Vt = np.linalg.svd(Bn, full_matrices=True)
-    r = int(np.sum(sv > sv[0] * _RANK_RTOL))
+    r, Vt = _row_space(Bn)
     lines = [Vt[i] for i in range(r, m)]
     Q = Vt[:r].T                        # (m, r) row-space basis
     Br = Bn @ Q                         # (k, r), full column rank

@@ -144,6 +144,8 @@ def moreau_pair(cone, tol=DEFAULT_TOL):
     """Projection pair (onto K, onto the polar of K); both maps are metric
     projections computed independently, so m + n = I is a checkable fact."""
     pol = polar(cone)
+    if isinstance(cone, PolyhedralGenerators) and not len(pol._rays()):
+        raise ValueError("polar cone is {0}: the generators span the whole space")
     return RetractionPair("moreau", cone, pol, _projector(cone), _projector(pol),
                           tol=tol,
                           descriptor={"family": "moreau", "cone": cone_to_json(cone)})

@@ -25,7 +25,14 @@ def gaussian_points(rng, n, dim):
 
 
 def cone_members(cone, rng, n):
-    """Random members of the cone, O(1) norms, built from generator data."""
+    """Random members of the cone, O(1) norms, built from generator data.
+
+    A polyhedral cone's members are nonnegative combinations of the rows of
+    :func:`generators_of`, one coefficient per row.  For a generator or
+    halfspace cone those rows are its canonical ray matrix of unit rays, so
+    the draws do not depend on the order or lengths of the listed vectors,
+    or on redundant generators.
+    """
     m = cone.dim
     if isinstance(cone, Simplicial):
         coeff = np.abs(rng.standard_normal((n, m))) / np.sqrt(m)

@@ -363,6 +363,19 @@ def test_projector_cap_exit_two(tmp_path, capsys):
                    "projector takes at most 12\n")
 
 
+@pytest.mark.parametrize("cone,message", [
+    # Three generators that positively span the plane: the polar is {0}.
+    ({"type": "generators", "vectors": [[1, 0], [0, 1], [-1, -1]]}, "polar cone is {0}"),
+    ({"type": "halfspaces", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]]}, "cone is {0}"),
+], ids=["whole-plane-generators", "origin-halfspaces"])
+def test_zero_cone_exit_two(tmp_path, capsys, cone, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "moreau", "cone": cone}, "samples": 20}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"conelab: error: {message}:") and err.count("\n") == 1
+
+
 # Generated bad configs: each breaks one rule of the config schema.
 _NUMBER = st.floats(-10.0, 10.0, allow_nan=False)
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conelab import (FaceTable, Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
-                     Simplicial, contains, is_generating, lattice_pair,
+                     Simplicial, contains, generators_of, is_generating, lattice_pair,
                      minkowski_pair, moreau_pair, pair_from_json, project_cone,
                      sample_simplicial)
 from conelab import oracle, run_catalogue
@@ -144,7 +144,7 @@ def test_moreau_generator_cone_builds_one_face_table(monkeypatch):
     X = gaussian_points(rng_for(0, "face-table"), 20, 3)
     pair.m(X)
     pair.cone_m.membership_residual(X)
-    assert sum(np.array_equal(G, cone.vectors) for G in built) == 1
+    assert sum(np.array_equal(G, generators_of(cone)) for G in built) == 1
 
 
 # A rotated orthant of R^3 (orthonormal rows of _Q) with two redundant
@@ -175,6 +175,32 @@ def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_call
     monkeypatch.setattr(FaceTable, "__init__", counting_init)
     run_catalogue(moreau_pair(make()), 200, 1)
     assert (counts["dd"], counts["tables"]) == (dd_calls, tables)
+
+
+def test_redundant_generators_leave_the_face_tables(monkeypatch):
+    # A rotated orthant of R^5 with 4 redundant interior generators: both
+    # tables span the 5 extreme rays (2^5 subsets), not the 9 listed ones.
+    rng = np.random.default_rng(11)
+    G = np.linalg.qr(rng.standard_normal((5, 5)))[0].T * rng.uniform(0.5, 2.0, (5, 1))
+    cone = PolyhedralGenerators(np.vstack([G, rng.uniform(0.2, 1.0, (4, 5)) @ G]))
+    subsets, dd_calls = [], []
+    dd, init = oracle.double_description, FaceTable.__init__
+
+    def counting_dd(normals):
+        dd_calls.append(1)
+        return dd(normals)
+
+    def counting_init(self, generators):
+        init(self, generators)
+        subsets.append(len(self.subsets))
+
+    monkeypatch.setattr(oracle, "double_description", counting_dd)
+    monkeypatch.setattr(FaceTable, "__init__", counting_init)
+    pair = moreau_pair(cone)
+    X = gaussian_points(rng_for(0, "tables"), 50, 5)
+    pair.cone_m.membership_residual(pair.m(X))
+    pair.cone_n.membership_residual(pair.n(X))
+    assert (subsets, len(dd_calls)) == ([32, 32], 1)
 
 
 def test_projector_cap_names_the_extreme_rays():
