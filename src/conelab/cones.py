@@ -27,6 +27,9 @@ _RANK_RTOL = 1e-9
 # A generator leaves the ray matrix only when the kept rays reproduce it to
 # this relative distance.
 _REPRODUCE_RTOL = 1e-12
+# Rays are pairwise orthogonal when their Gram matrix's off-diagonal is within
+# this share of its largest diagonal entry.
+_ORTHO_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -214,17 +217,34 @@ class ConeSpec:
     def _finish(self, res, single):
         return float(res[0]) if single else res
 
-    def _table(self):
-        """The ``FaceTable`` of :func:`generators_of`, built once per cone."""
-        t = getattr(self, "_face_table", None)
-        if t is None:
-            G = generators_of(self)
-            if len(G) > oracle.MAX_GENERATORS:
-                raise ValueError(f"cone has {len(G)} extreme rays, but the face-table "
-                                 f"projector takes at most {oracle.MAX_GENERATORS}")
-            t = oracle.FaceTable(G)
-            object.__setattr__(self, "_face_table", t)
-        return t
+    def _projector(self):
+        """The metric projector of :func:`_ray_projector` on this cone's rays
+        (a simplicial cone's basis, else :func:`generators_of`), built once."""
+        p = getattr(self, "_projector_fn", None)
+        if p is None:
+            p = _ray_projector(self.basis if isinstance(self, Simplicial)
+                               else generators_of(self).T)
+            object.__setattr__(self, "_projector_fn", p)
+        return p
+
+
+def _ray_projector(A):
+    """Vectorized metric projector onto the cone of the columns of ``A``.
+
+    Square ``A`` with pairwise orthogonal columns (an orthant, rotated or
+    not) projects by clamping its scaled coordinates, the lattice positive
+    part (Moreau 1962): exact, and one product each way.  Any other cone
+    goes through face enumeration on a ``FaceTable`` of its columns.
+    """
+    gram = A.T @ A
+    d = np.diag(gram).copy()
+    if A.shape[0] == A.shape[1] and np.abs(gram - np.diag(d)).max() <= _ORTHO_RTOL * d.max():
+        return lambda X: np.clip((X @ A) / d, 0.0, None) @ A.T
+    if A.shape[1] > oracle.MAX_GENERATORS:
+        raise ValueError(f"cone has {A.shape[1]} extreme rays, but the face-table "
+                         f"projector takes at most {oracle.MAX_GENERATORS}")
+    table = oracle.FaceTable(A.T)
+    return lambda X: table.project(X)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,9 +346,9 @@ class PolyhedralGenerators(ConeSpec):
         """The polar cone in halfspace form: the one object :func:`polar` returns."""
         return self._derived()[1]
 
-    def _table(self):
-        t = self._derived()[2]
-        return super()._table() if t is None else t
+    def _projector(self):
+        p = self._derived()[2]
+        return super()._projector() if p is None else p
 
     def _derived(self):
         d = getattr(self, "_derived_data", None)
@@ -338,13 +358,13 @@ class PolyhedralGenerators(ConeSpec):
         return d
 
     def _derive(self):
-        """(ray matrix, polar cone, ``FaceTable`` of the rays or None), from
-        one double description.
+        """(ray matrix, polar cone, projector of the rays or None), from one
+        double description.
 
         A generator is an extreme ray exactly when the polar rays it is tight
         on have rank ``dim - 1`` (Motzkin et al. 1953).  A generator that
-        fails that test still stays unless the ``FaceTable`` of the kept rays,
-        which becomes this cone's table, reproduces it to ``_REPRODUCE_RTOL``.
+        fails that test still stays unless the projector of the kept rays,
+        which becomes this cone's projector, reproduces it to ``_REPRODUCE_RTOL``.
         The polar's rays and lineality pairs are then recomputed from the kept
         rays alone, so redundant generators change neither matrix.
         """
@@ -360,11 +380,11 @@ class PolyhedralGenerators(ConeSpec):
         on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
         E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
-        table = oracle.FaceTable(E)
-        gap = np.linalg.norm(S - table.project(S)[0], axis=1)
+        project = _ray_projector(E.T)
+        gap = np.linalg.norm(S - project(S), axis=1)
         missed = gap > _REPRODUCE_RTOL * np.linalg.norm(S, axis=1)
         if missed.any():
-            E, table = _canonical_rows(np.vstack([E, S[missed]])), None
+            E, project = _canonical_rows(np.vstack([E, S[missed]])), None
         # In the span of the rays (basis Q), each polar ray is the null
         # direction of the rays it is tight on.  The polar's lineality pairs,
         # tight on every ray, span the rest of the space.
@@ -377,12 +397,12 @@ class PolyhedralGenerators(ConeSpec):
         null = np.linalg.svd(tight[:, :, None] * (U @ Q))[2][:, -1] @ Q.T
         R = _canonical_rows(np.where((null @ U.T).sum(axis=1, keepdims=True) > 0, -null, null))
         lines = np.stack([Vt[r:], -Vt[r:]], axis=1).reshape(-1, m)
-        return _readonly(E), _with_rays(PolyhedralHalfspaces(-E), np.vstack([R, lines])), table
+        return _readonly(E), _with_rays(PolyhedralHalfspaces(-E), np.vstack([R, lines])), project
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        table = self._table()
-        res = _relative(lambda X: np.linalg.norm(X - table.project(X)[0], axis=1), X)
+        project = self._projector()
+        res = _relative(lambda X: np.linalg.norm(X - project(X), axis=1), X)
         return self._finish(res, single)
 
 

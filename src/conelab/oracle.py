@@ -297,19 +297,19 @@ def double_description(halfspaces):
         rays_reduced.append(d)
 
     if r == 1:
-        for sign in (1.0, -1.0):
-            d = np.array([sign])
-            if np.all(Br @ d >= -_FEAS_TOL):
-                _push(d)
+        D = np.ones((1, 1))
     else:
         S = np.array(list(itertools.combinations(range(k), r - 1)))
         _, sa, Va = np.linalg.svd(Br[S], full_matrices=True)
         rank = (sa > sa[:, :1] * _RANK_RTOL).sum(axis=1)
-        for d in Va[rank == r - 1, -1]:  # null direction of each independent subset
-            for sign in (1.0, -1.0):
-                cand = sign * d
-                if np.all(Br @ cand >= -_FEAS_TOL):
-                    _push(cand)
+        D = Va[rank == r - 1, -1]  # null direction of each independent subset
+    # Each direction and its negation, in that order; -F is exact for -d.
+    F = D @ Br.T
+    for d, plus, minus in zip(D, (F >= -_FEAS_TOL).all(axis=1), (-F >= -_FEAS_TOL).all(axis=1)):
+        if plus:
+            _push(d)
+        if minus:
+            _push(-d)
     out = [Q @ d for d in rays_reduced]
     out = [v / np.linalg.norm(v) for v in out]
     for line in lines:

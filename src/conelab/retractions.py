@@ -15,8 +15,6 @@ from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfsp
                     Simplicial, _as_batch, _row_exponents, as_vector, cone_from_json,
                     cone_to_json, negate, polar, to_halfspaces)
 
-_ORTHO_RTOL = 1e-12
-
 
 def _lorentz_closed_form(X):
     """Three-branch projection onto {(xbar, t) : |xbar| <= t}, vectorized;
@@ -42,26 +40,14 @@ def _lorentz_branches(X):
 
 
 def _projector(cone):
-    """Vectorized metric projector onto a supported cone.
-
-    Lorentz cones use a closed form, simplicial bases with orthogonal
-    columns (the orthant among them) clamp scaled coordinates (exact, and
-    much cheaper than enumeration), and all remaining polyhedral cones go
-    through face enumeration on the cone's own ``FaceTable``.
-    """
+    """Vectorized metric projector onto a supported cone: a closed form for
+    Lorentz cones, else the polyhedral cone's own projector, the clamp of
+    orthogonal rays or face enumeration (:func:`cones._ray_projector`)."""
     if isinstance(cone, Lorentz):
         if cone.negated:
             return lambda X: -_lorentz_closed_form(-X)
         return _lorentz_closed_form
-    if isinstance(cone, Simplicial):
-        A = cone.basis
-        gram = A.T @ A
-        off = gram - np.diag(np.diag(gram))
-        if np.abs(off).max() <= _ORTHO_RTOL * np.diag(gram).max():
-            d = np.diag(gram).copy()
-            return lambda X: np.clip((X @ A) / d, 0.0, None) @ A.T
-    table = cone._table()  # a generator cone's membership test shares it
-    return lambda X: table.project(X)[0]
+    return cone._projector()
 
 
 def project_cone(cone, x):

@@ -129,37 +129,16 @@ def test_moreau_polyhedral_forms():
     _pair_axioms_hold(moreau_pair(hs), n=300)
 
 
-def test_moreau_generator_cone_builds_one_face_table(monkeypatch):
-    built = []
-    init = FaceTable.__init__
-
-    def counting_init(self, generators):
-        built.append(np.array(generators, dtype=float))
-        init(self, generators)
-
-    monkeypatch.setattr(FaceTable, "__init__", counting_init)
-    cone = PolyhedralGenerators(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                                          [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]))
-    pair = moreau_pair(cone)
-    X = gaussian_points(rng_for(0, "face-table"), 20, 3)
-    pair.m(X)
-    pair.cone_m.membership_residual(X)
-    assert sum(np.array_equal(G, generators_of(cone)) for G in built) == 1
+def _skew(d):
+    """Rows of I + 0.3 e1 e2^T: a simplicial cone whose rays, and whose polar's
+    rays, are not orthogonal, so both project through a FaceTable."""
+    B = np.eye(d)
+    B[0, 1] = 0.3
+    return B
 
 
-# A rotated orthant of R^3 (orthonormal rows of _Q) with two redundant
-# interior rows, once as halfspace normals and once as generators.
-_Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
-_REDUNDANT = np.vstack([_Q, [[0.3, 0.6, 0.9], [1.0, 0.2, 0.4]] @ _Q])
-
-
-@pytest.mark.parametrize("make, dd_calls, tables", [
-    (lambda: PolyhedralHalfspaces(_REDUNDANT), 2, 2),
-    (lambda: PolyhedralGenerators(_REDUNDANT), 1, 2),
-], ids=["halfspaces", "generators"])
-def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_calls, tables):
-    # Rays come from one double description per halfspace cone (the cone and
-    # its polar), and each cone's FaceTable is built once.
+def _count_builds(monkeypatch):
+    """Count double descriptions and FaceTable builds from here on."""
     counts = {"dd": 0, "tables": 0}
     dd, init = oracle.double_description, FaceTable.__init__
 
@@ -173,15 +152,64 @@ def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_call
 
     monkeypatch.setattr(oracle, "double_description", counting_dd)
     monkeypatch.setattr(FaceTable, "__init__", counting_init)
+    return counts
+
+
+def test_moreau_generator_cone_builds_one_face_table(monkeypatch):
+    built = []
+    init = FaceTable.__init__
+
+    def counting_init(self, generators):
+        built.append(np.array(generators, dtype=float))
+        init(self, generators)
+
+    monkeypatch.setattr(FaceTable, "__init__", counting_init)
+    cone = PolyhedralGenerators(np.vstack([_skew(3), [[1.0, 1.0, 1.0]] @ _skew(3)]))
+    pair = moreau_pair(cone)
+    X = gaussian_points(rng_for(0, "face-table"), 20, 3)
+    pair.m(X)
+    pair.cone_m.membership_residual(X)
+    assert sum(np.array_equal(G, generators_of(cone)) for G in built) == 1
+
+
+# Three rays with two redundant interior rows, once as halfspace normals and
+# once as generators: a skew cone of R^3, and a rotated orthant (orthonormal
+# rows of _Q).
+_INTERIOR = np.array([[0.3, 0.6, 0.9], [1.0, 0.2, 0.4]])
+_SKEW_REDUNDANT = np.vstack([_skew(3), _INTERIOR @ _skew(3)])
+_Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
+_REDUNDANT = np.vstack([_Q, _INTERIOR @ _Q])
+
+
+@pytest.mark.parametrize("make, dd_calls, tables", [
+    (lambda: PolyhedralHalfspaces(_SKEW_REDUNDANT), 2, 2),
+    (lambda: PolyhedralGenerators(_SKEW_REDUNDANT), 1, 2),
+], ids=["halfspaces", "generators"])
+def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_calls, tables):
+    # Rays come from one double description per halfspace cone (the cone and
+    # its polar), and each cone's FaceTable is built once.
+    counts = _count_builds(monkeypatch)
     run_catalogue(moreau_pair(make()), 200, 1)
     assert (counts["dd"], counts["tables"]) == (dd_calls, tables)
 
 
+@pytest.mark.parametrize("make, dd_calls", [
+    (lambda: PolyhedralHalfspaces(_REDUNDANT), 2),
+    (lambda: PolyhedralGenerators(_REDUNDANT), 1),
+], ids=["halfspaces", "generators"])
+def test_rotated_orthant_builds_no_face_table(monkeypatch, make, dd_calls):
+    # Orthogonal rays project by the clamp: the double descriptions stay, the
+    # tables go.
+    counts = _count_builds(monkeypatch)
+    run_catalogue(moreau_pair(make()), 200, 1)
+    assert (counts["dd"], counts["tables"]) == (dd_calls, 0)
+
+
 def test_redundant_generators_leave_the_face_tables(monkeypatch):
-    # A rotated orthant of R^5 with 4 redundant interior generators: both
-    # tables span the 5 extreme rays (2^5 subsets), not the 9 listed ones.
+    # A skew cone of R^5 with 4 redundant interior generators: both tables
+    # span the 5 extreme rays (2^5 subsets), not the 9 listed ones.
     rng = np.random.default_rng(11)
-    G = np.linalg.qr(rng.standard_normal((5, 5)))[0].T * rng.uniform(0.5, 2.0, (5, 1))
+    G = _skew(5) * rng.uniform(0.5, 2.0, (5, 1))
     cone = PolyhedralGenerators(np.vstack([G, rng.uniform(0.2, 1.0, (4, 5)) @ G]))
     subsets, dd_calls = [], []
     dd, init = oracle.double_description, FaceTable.__init__
@@ -201,6 +229,50 @@ def test_redundant_generators_leave_the_face_tables(monkeypatch):
     pair.cone_m.membership_residual(pair.m(X))
     pair.cone_n.membership_residual(pair.n(X))
     assert (subsets, len(dd_calls)) == ([32, 32], 1)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("form", [PolyhedralGenerators, PolyhedralHalfspaces])
+def test_orthogonal_clamp_matches_the_oracle(monkeypatch, form, d):
+    # On a rotated orthant, cone(Q) = {x : Q x >= 0} and its polar is
+    # cone(-Q); rows scaled by 2^k change neither.  Both maps must agree with
+    # the oracle's face enumeration on the listed rows, without a FaceTable.
+    rng = rng_for(d, "clamp-oracle")
+    Q = np.linalg.qr(rng.standard_normal((d, d)))[0].T
+    V = np.ldexp(Q, rng.integers(-8, 9, (d, 1)))
+    cone_table, polar_table = FaceTable(V), FaceTable(-V)
+    counts = _count_builds(monkeypatch)
+    pair = moreau_pair(form(V))
+    X = gaussian_points(rng, 100, d)
+    M, N = pair.m(X), pair.n(X)
+    assert counts["tables"] == 0
+    for x, m, n in zip(X, M, N):
+        scale = 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm(m - oracle.brute_force_project(cone_table, x).point) <= scale
+        assert np.linalg.norm(n - oracle.brute_force_project(polar_table, x).point) <= scale
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_orthant_forms_project_bit_for_bit(d):
+    X = gaussian_points(rng_for(d, "orthant-forms"), 1000, d)
+    pairs = [moreau_pair(cone) for cone in (Orthant(d), Simplicial(np.eye(d)),
+                                            PolyhedralGenerators(np.eye(d)),
+                                            PolyhedralHalfspaces(np.eye(d)))]
+    M, N = pairs[0].m(X), pairs[0].n(X)
+    for pair in pairs[1:]:
+        assert np.array_equal(pair.m(X), M) and np.array_equal(pair.n(X), N)
+
+
+@pytest.mark.parametrize("make", [Simplicial, PolyhedralGenerators], ids=["simplicial", "generators"])
+def test_nearly_orthogonal_skew_cone_keeps_the_face_table(monkeypatch, make):
+    # Off-diagonal Gram entries of 1e-6 are far above the clamp's 1e-12 test.
+    B = np.eye(3)
+    B[0, 1] = 1e-6
+    counts = _count_builds(monkeypatch)
+    pair = moreau_pair(make(B.T if make is Simplicial else B))
+    pair.m(gaussian_points(rng_for(0, "skew"), 10, 3))
+    pair.n(gaussian_points(rng_for(1, "skew"), 10, 3))
+    assert counts["tables"] == 2
 
 
 def test_projector_cap_names_the_extreme_rays():
