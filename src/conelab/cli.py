@@ -10,6 +10,7 @@ timestamps and no machine-dependent data.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -303,6 +304,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser :func:`main` reuses: built once per process, since
+    parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _run(args):
     """Load the config, check the format, build the tolerances, run the
     command and write its report; returns the exit code."""
@@ -328,7 +336,7 @@ def _run(args):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

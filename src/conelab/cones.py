@@ -10,6 +10,7 @@ concurrent use needs no synchronization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -162,6 +163,25 @@ def _relative(violation, *arrays, size=None):
     return violation(*arrays) / (one + norm)
 
 
+# From this many rows on, a fold over the columns is cheaper than numpy's
+# reduction, which is set up once per row; below, the reduction is (measured
+# for 1 to 8 columns).
+_FOLD_ROWS = 64
+
+
+def _row_fold(f, C):
+    """``f.reduce(C, axis=1)`` for ``f`` np.minimum or np.maximum: on a batch
+    of ``_FOLD_ROWS`` or more rows, folded over the columns, which gives the
+    same entries (a tie of 0.0 and -0.0 may come back with either sign)."""
+    if len(C) < _FOLD_ROWS:
+        return f.reduce(C, axis=1)
+    return functools.reduce(f, C.T[1:], C[:, 0])
+
+
+_row_min = functools.partial(_row_fold, np.minimum)
+_row_max = functools.partial(_row_fold, np.maximum)
+
+
 def _rank(A, rtol=_RANK_RTOL):
     """Numerical rank: singular values above ``rtol`` times the largest."""
     if A.size == 0:
@@ -179,10 +199,14 @@ def _canonical_rows(R):
     entries themselves, so that rounding noise (a ray found by double
     description, not listed) does not reorder them."""
     U = oracle._unit_rows(R) + 0.0  # -0.0 reads as 0.0
-    keep = []
-    for i in np.lexsort(np.vstack([U.T[::-1], np.round(U, 9).T[::-1]])):
-        if all(np.abs(U[i] - U[j]).max() > _REPRODUCE_RTOL for j in keep):
+    U = U[np.lexsort(np.vstack([U.T[::-1], np.round(U, 9).T[::-1]]))]
+    # far[i, j]: rows i and j differ by more than the threshold in some entry.
+    far = functools.reduce(np.maximum, (abs(c[:, None] - c) for c in U.T)) > _REPRODUCE_RTOL
+    keep, ok = [], np.ones(len(U), dtype=bool)  # ok: far from every kept row
+    for i in range(len(U)):
+        if ok[i]:
             keep.append(i)
+            ok &= far[i]
     return U[keep]
 
 
@@ -228,6 +252,16 @@ class ConeSpec:
         return p
 
 
+def _orthogonal(A):
+    """The squared lengths of the columns of ``A`` when ``A`` is square and
+    its columns are pairwise orthogonal, else None."""
+    if A.shape[0] != A.shape[1]:
+        return None
+    gram = A.T @ A
+    d = np.diag(gram).copy()
+    return d if np.abs(gram - np.diag(d)).max() <= _ORTHO_RTOL * d.max() else None
+
+
 def _ray_projector(A):
     """Vectorized metric projector onto the cone of the columns of ``A``.
 
@@ -236,10 +270,9 @@ def _ray_projector(A):
     part (Moreau 1962): exact, and one product each way.  Any other cone
     goes through face enumeration on a ``FaceTable`` of its columns.
     """
-    gram = A.T @ A
-    d = np.diag(gram).copy()
-    if A.shape[0] == A.shape[1] and np.abs(gram - np.diag(d)).max() <= _ORTHO_RTOL * d.max():
-        return lambda X: np.clip((X @ A) / d, 0.0, None) @ A.T
+    d = _orthogonal(A)
+    if d is not None:
+        return lambda X: np.maximum((X @ A) / d, 0.0) @ A.T
     if A.shape[1] > oracle.MAX_GENERATORS:
         raise ValueError(f"cone has {A.shape[1]} extreme rays, but the face-table "
                          f"projector takes at most {oracle.MAX_GENERATORS}")
@@ -280,7 +313,7 @@ class Simplicial(ConeSpec):
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        res = _relative(lambda X: np.maximum(0.0, -(X @ self.basis_inv.T).min(axis=1)), X)
+        res = _relative(lambda X: np.maximum(0.0, -_row_min(X @ self.basis_inv.T)), X)
         return self._finish(res, single)
 
 
@@ -296,7 +329,7 @@ class Orthant(Simplicial):
     def membership_residual(self, x):
         # The coordinates are x itself, so clamp without the basis product.
         X, single = _as_batch(x, self.dim)
-        res = _relative(lambda X: np.maximum(0.0, -X.min(axis=1)), X)
+        res = _relative(lambda X: np.maximum(0.0, -_row_min(X)), X)
         return self._finish(res, single)
 
 
@@ -437,7 +470,7 @@ class PolyhedralHalfspaces(ConeSpec):
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
         unit = oracle._unit_rows(self.normals)
-        res = _relative(lambda X: np.maximum(0.0, -(X @ unit.T)).max(axis=1), X)
+        res = _relative(lambda X: _row_max(np.maximum(0.0, -(X @ unit.T))), X)
         return self._finish(res, single)
 
 
@@ -456,7 +489,11 @@ def leq(cone, x, y, tol=DEFAULT_TOL):
 def negate(cone):
     """The cone -K, exactly, in a closed-form representation."""
     if isinstance(cone, Simplicial):
-        return Simplicial(-cone.basis)
+        # -B is invertible with inverse -B^-1, so skip the SVD and the inverse.
+        neg = object.__new__(Simplicial)
+        object.__setattr__(neg, "basis", _readonly(-cone.basis))
+        object.__setattr__(neg, "basis_inv", _readonly(-cone.basis_inv))
+        return neg
     if isinstance(cone, Lorentz):
         return Lorentz(cone.dim, negated=not cone.negated)
     if isinstance(cone, PolyhedralGenerators):
@@ -473,7 +510,8 @@ def polar(cone):
     basis, Lorentz polars are sign flips, generator form dualizes to the
     halfspaces of its ray matrix (the one object each cone keeps, rays
     included), and halfspace form dualizes through ray enumeration unless
-    the normal matrix is square and invertible.
+    the normal matrix is square and invertible; the polar of ``dim``
+    orthogonal rays E has the rays -E, so it enumerates none.
     """
     if isinstance(cone, Simplicial):
         return Simplicial(-cone.basis_inv.T)
@@ -488,7 +526,10 @@ def polar(cone):
             sv = np.linalg.svd(N, compute_uv=False)
             if sv[-1] > sv[0] * _SINGULAR_RTOL:
                 return PolyhedralGenerators(-N)
-        return PolyhedralHalfspaces(-generators_of(cone))
+        E = generators_of(cone)
+        if _orthogonal(E.T) is not None:  # the polar of a rotated orthant is its negation
+            return _with_rays(PolyhedralHalfspaces(-E), _canonical_rows(-E))
+        return PolyhedralHalfspaces(-E)
     raise ValueError(f"unsupported cone: {cone!r}")
 
 

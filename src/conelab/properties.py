@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, _relative, _row_exponents
+from .cones import DEFAULT_TOL, _relative, _row_exponents, _row_max
 from .sampling import cone_members, gaussian_points, rng_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -300,7 +300,7 @@ def _sup_commutes(pair, S):
         return np.linalg.norm(pair.m(sup[:n]) - sup[n:], axis=1)
 
     return _relative(violation, S.reshape(n, k * dim),
-                     size=lambda F: np.linalg.norm(F.reshape(S.shape), axis=2).max(axis=1))
+                     size=lambda F: _row_max(np.linalg.norm(F.reshape(S.shape), axis=2)))
 
 
 def check_mutual_polarity(pair, n_samples=1000, seed=0):
@@ -437,8 +437,8 @@ def check_subadditivity_defect_sets(pair, n_samples=1000, seed=0):
     realized = _norm_residual(lambda W, V: _defect(pair.m, W, V) - W)
 
     def negation(X, Y):
-        return _relative(lambda U, V: np.abs(_defect(pair.n, U, V) + _defect(pair.m, U, V))
-                         .max(axis=1), X, Y)
+        return _relative(lambda U, V: _row_max(np.abs(_defect(pair.n, U, V)
+                                                      + _defect(pair.m, U, V))), X, Y)
 
     chk.membership("defect-in-range", _subadditivity(pair.m, pair.subadd_cone_m),
                    {"x": X, "y": Y})

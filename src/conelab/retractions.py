@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfspaces,
-                    Simplicial, _as_batch, _row_exponents, as_vector, cone_from_json,
-                    cone_to_json, negate, polar, to_halfspaces)
+                    Simplicial, _as_batch, _row_exponents, _row_max, as_vector,
+                    cone_from_json, cone_to_json, negate, polar, to_halfspaces)
 
 
 def _lorentz_closed_form(X):
@@ -117,10 +117,10 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
     A, invA = cone.basis, cone.basis_inv
 
     def m_map(X):
-        return np.clip(X @ invA.T, 0.0, None) @ A.T
+        return np.maximum(X @ invA.T, 0.0) @ A.T
 
     def n_map(X):
-        return -(np.clip(-(X @ invA.T), 0.0, None) @ A.T)
+        return -(np.maximum(-(X @ invA.T), 0.0) @ A.T)
 
     return RetractionPair("lattice", cone, negate(cone), m_map, n_map, tol=tol,
                           descriptor={"family": "lattice", "cone": cone_to_json(cone)})
@@ -156,7 +156,7 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
 
     def phi(x):
         X, single = _as_batch(x, hs.dim)
-        vals = ((X @ N.T) / den).max(axis=1)
+        vals = _row_max((X @ N.T) / den)
         return float(vals[0]) if single else vals
 
     def m_map(X):

@@ -9,6 +9,7 @@ from conelab import (DEFAULT_TOL, Lorentz, Orthant, PolyhedralGenerators,
                      generators_of, is_generating, is_pointed, lattice_pair, leq,
                      moreau_pair, negate, polar, project_cone, sample_simplicial,
                      to_halfspaces)
+from conelab.cones import _FOLD_ROWS, _row_max, _row_min
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))  # columns (1,0), (1,1)
@@ -247,6 +248,40 @@ def test_orthant_is_identity_basis_simplicial(d):
     _same_bits(polar(orth).basis, -np.eye(d))
     _same_bits(generators_of(orth), np.eye(d))
     assert cone_to_json(orth) == {"type": "orthant", "dim": d}
+
+
+_FOLD_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 7, _FOLD_ROWS - 1, _FOLD_ROWS, 1000])
+def test_row_folds_match_numpy_reductions(rows):
+    # Batches of _FOLD_ROWS or more rows are folded over the columns.  That
+    # returns the entry numpy's reductions return, bit for bit, except the
+    # sign of a zero: where a row's extreme is a tie of 0.0 and -0.0, numpy's
+    # vectorized reduction may pick either (it does from 9 columns on
+    # AVX-512).  A residual's zero sign reaches no report, which compares
+    # residuals with thresholds and prints only failing ones.
+    rng = rng_for(rows, "row-folds")
+    for cols in range(1, 17):
+        C = _FOLD_ENTRIES[rng.integers(0, len(_FOLD_ENTRIES), (rows, cols))]
+        _same_bits(_row_min(C) + 0.0, C.min(axis=1) + 0.0)  # + 0.0 maps -0.0 to 0.0
+        _same_bits(_row_max(C) + 0.0, C.max(axis=1) + 0.0)
+
+
+def test_negate_reuses_the_factorization():
+    # inv(-B) = -inv(B) bit for bit: LU with partial pivoting pivots on |a|,
+    # and every rounding is symmetric in sign.
+    rng = np.random.default_rng(19)
+    for d in range(1, 17):
+        for _ in range(200):
+            B = rng.standard_normal((d, d))
+            _same_bits(np.linalg.inv(-B), -np.linalg.inv(B))
+    for cone in (Orthant(3), SIMP, sample_simplicial(8, 5)):
+        neg, ref = negate(cone), Simplicial(-cone.basis)
+        assert type(neg) is Simplicial
+        _same_bits(neg.basis, ref.basis)
+        _same_bits(neg.basis_inv, ref.basis_inv)
+        assert not neg.basis.flags.writeable and not neg.basis_inv.flags.writeable
 
 
 def test_tolerance_config_validation():

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from conelab.cli import main
+from conelab import cli
+from conelab.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 SAMPLES = 300
@@ -86,6 +87,27 @@ def test_report_bytes_match_golden(tmp_path, name, args, config):
     code, raw = _run(args, config, tmp_path)
     assert code in (0, 1)
     assert raw == (GOLDEN / name).read_bytes()
+
+
+def test_one_process_reuses_one_parser(tmp_path, monkeypatch):
+    # main parses every call with the parser it built on its first call, so
+    # no call may leave state in it that changes the next report.
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    cases = {name: (args, config) for name, args, config in _cases()}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"command": "verify", "extra": True}))
+    for step in ("verify-lattice-seed1.json", "sup-simplicial-lattice.json", "demo-lex.json",
+                 ["verify", "--config", str(bad)], ["demo", "lex", "--seed", "1"],
+                 "verify-lattice-seed1.json"):
+        if isinstance(step, list):
+            assert main(step) == 2
+            continue
+        code, raw = _run(*cases[step], tmp_path)
+        assert code in (0, 1)
+        assert raw == (GOLDEN / step).read_bytes()
+    assert len(built) == 1
 
 
 def test_golden_directory_holds_exactly_the_cases():

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from conelab import (Orthant, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
                      generators_of, moreau_pair, polar, run_catalogue)
+from conelab.cones import _REPRODUCE_RTOL, _canonical_rows
+from conelab.oracle import _unit_rows
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 
@@ -193,3 +195,43 @@ def test_a_cone_that_spans_less_than_the_space_keeps_its_report(V, combination):
     assert _bitwise_equal(_what_reports_read(PolyhedralGenerators(V)),
                           _what_reports_read(PolyhedralGenerators(relisted)))
     assert _reports(PolyhedralGenerators(relisted)) == _reports(PolyhedralGenerators(V))
+
+
+def _canonical_rows_by_loop(R):
+    """The pairwise loop :func:`conelab.cones._canonical_rows` replaces."""
+    U = _unit_rows(R) + 0.0
+    keep = []
+    for i in np.lexsort(np.vstack([U.T[::-1], np.round(U, 9).T[::-1]])):
+        if all(np.abs(U[i] - U[j]).max() > _REPRODUCE_RTOL for j in keep):
+            keep.append(i)
+    return U[keep]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonical_rows_match_the_pairwise_loop(seed):
+    # Near-duplicates on both sides of the threshold, exact duplicates,
+    # 2^k-scaled copies and negations, in random order.
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 7)
+    R = rng.standard_normal((rng.integers(1, 9), d))
+    U = _unit_rows(R)
+    near = U[rng.integers(0, len(U), 6)]
+    near[:, 0] += rng.choice([0.3, 0.9, 1.1, 3.0], 6) * _REPRODUCE_RTOL
+    rows = np.vstack([R, U[:2], np.ldexp(R[:2], 40), -R[:1], near])
+    rows = rows[rng.permutation(len(rows))]
+    got, ref = _canonical_rows(rows), _canonical_rows_by_loop(rows)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_canonical_rows_drop_a_row_near_an_earlier_kept_one():
+    # In lexicographic order b falls between a and c.  b is far from both
+    # and is kept; c is within the threshold of a, not of b, and is dropped.
+    a, b, c = [0.0, 0.6, 0.8], [0.5e-12, 0.6 + 5e-11, 0.8], [0.9e-12, 0.6, 0.8]
+    rows = np.array([c, b, a])
+    got = _canonical_rows(rows)
+    assert got.tobytes() == _canonical_rows_by_loop(rows).tobytes()
+    assert len(got) == 2 and 0.0 < got[1, 0] < 0.7e-12  # a and b
+
+
+def test_canonical_rows_of_no_rows():
+    assert _canonical_rows(np.zeros((0, 3))).shape == (0, 3)
