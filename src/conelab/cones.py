@@ -142,6 +142,19 @@ def _row_exponents(X):
     return np.maximum(np.frexp(A.max(axis=1))[1], -1021)
 
 
+def _joint_row_exponents(arrays):
+    """:func:`_row_exponents` of the row-aligned ``arrays`` side by side; they
+    are joined only when their largest entry is nonzero and outside
+    [_TINY, _HUGE), so that some row is scaled."""
+    if len(arrays) > 1:
+        tops = [float(np.abs(a).max(initial=0.0)) for a in arrays]
+        top = max(tops)
+        # A NaN fails ``t < _HUGE`` and goes to the join, as it does there.
+        if all(t < _HUGE for t in tops) and (top == 0.0 or top >= _TINY):
+            return None
+    return _row_exponents(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
+
+
 def _relative(violation, *arrays, size=None):
     """``violation(*arrays) / (1 + size)`` per row, for a positively
     homogeneous violation of row-aligned inputs; ``size`` is |x| of the first
@@ -154,12 +167,12 @@ def _relative(violation, *arrays, size=None):
     wherever that neither overflows nor underflows, and it stays finite at
     any finite scale of the inputs.
     """
-    e = _row_exponents(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
+    e = _joint_row_exponents(arrays)
     one = 1.0
     if e is not None:
         one = np.ldexp(1.0, -e)
         arrays = [np.ldexp(a, -e[:, None]) for a in arrays]
-    norm = np.linalg.norm(arrays[0], axis=1) if size is None else size(*arrays)
+    norm = _row_norm(arrays[0]) if size is None else size(*arrays)
     return violation(*arrays) / (one + norm)
 
 
@@ -180,6 +193,16 @@ def _row_fold(f, C):
 
 _row_min = functools.partial(_row_fold, np.minimum)
 _row_max = functools.partial(_row_fold, np.maximum)
+
+
+def _row_norm(X):
+    """``np.linalg.norm(X, axis=-1)``, bit for bit, without its dispatch.  A
+    batch of ``_FOLD_ROWS`` or more rows of fewer than 8 columns folds its
+    squares over the columns: below 8 terms numpy's pairwise sum adds a row
+    left to right, as the fold does."""
+    if X.ndim == 2 and len(X) >= _FOLD_ROWS and 0 < X.shape[1] < 8:
+        return np.sqrt(functools.reduce(np.add, [c * c for c in X.T]))
+    return np.sqrt(np.add.reduce(X * X, axis=-1))
 
 
 def _rank(A, rtol=_RANK_RTOL):
@@ -352,7 +375,7 @@ class Lorentz(ConeSpec):
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
         sign = -1.0 if self.negated else 1.0
-        res = _relative(lambda X: np.maximum(0.0, np.linalg.norm(X[:, :-1], axis=1)
+        res = _relative(lambda X: np.maximum(0.0, _row_norm(X[:, :-1])
                                              - sign * X[:, -1]), X)
         return self._finish(res, single)
 
@@ -414,8 +437,7 @@ class PolyhedralGenerators(ConeSpec):
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
         E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
         project = _ray_projector(E.T)
-        gap = np.linalg.norm(S - project(S), axis=1)
-        missed = gap > _REPRODUCE_RTOL * np.linalg.norm(S, axis=1)
+        missed = _row_norm(S - project(S)) > _REPRODUCE_RTOL * _row_norm(S)
         if missed.any():
             E, project = _canonical_rows(np.vstack([E, S[missed]])), None
         # In the span of the rays (basis Q), each polar ray is the null
@@ -435,7 +457,7 @@ class PolyhedralGenerators(ConeSpec):
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
         project = self._projector()
-        res = _relative(lambda X: np.linalg.norm(X - project(X), axis=1), X)
+        res = _relative(lambda X: _row_norm(X - project(X)), X)
         return self._finish(res, single)
 
 

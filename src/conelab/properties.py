@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, _relative, _row_exponents, _row_max
+from .cones import DEFAULT_TOL, _relative, _row_exponents, _row_max, _row_norm
 from .sampling import cone_members, gaussian_points, rng_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -186,7 +186,7 @@ class _Check:
         first = np.concatenate([rows[0] for rows in inputs])
         e = _row_exponents(first)
         shift = 0 if e is None else int(e.max())
-        norms = np.linalg.norm(np.ldexp(first, -shift), axis=1)
+        norms = _row_norm(np.ldexp(first, -shift))
         near = range(norms.size)
         if norms.size > _WITNESS_CAP:
             cut = np.partition(norms, _WITNESS_CAP - 1)[_WITNESS_CAP - 1]
@@ -238,7 +238,7 @@ def _worst(*residuals):
 def _norm_residual(violation):
     """The residual of a vector-valued violation (zero where the identity
     holds): its norm, relative to 1 + |x| of the first input."""
-    return lambda *rows: _relative(lambda *U: np.linalg.norm(violation(*U), axis=1), *rows)
+    return lambda *rows: _relative(lambda *U: _row_norm(violation(*U)), *rows)
 
 
 def _decomposition(pair):
@@ -297,10 +297,10 @@ def _sup_commutes(pair, S):
         sup = T[:, 0]
         for j in range(1, k):
             sup = sup_m(pair, sup, T[:, j])
-        return np.linalg.norm(pair.m(sup[:n]) - sup[n:], axis=1)
+        return _row_norm(pair.m(sup[:n]) - sup[n:])
 
     return _relative(violation, S.reshape(n, k * dim),
-                     size=lambda F: _row_max(np.linalg.norm(F.reshape(S.shape), axis=2)))
+                     size=lambda F: _row_max(_row_norm(F.reshape(S.shape))))
 
 
 def check_mutual_polarity(pair, n_samples=1000, seed=0):
@@ -464,8 +464,8 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
 
     def separation(X):
         # |m(x)|, |m(-x)| and |x|, each relative to 1 + |x|
-        m_plus, m_minus, size = _relative(lambda U: np.linalg.norm(
-            np.stack([pair.m(U), pair.m(-U), U]), axis=2), X)
+        m_plus, m_minus, size = _relative(
+            lambda U: _row_norm(np.stack([pair.m(U), pair.m(-U), U])), X)
         antecedent = (m_plus <= eps) & (m_minus <= eps)
         return np.where(antecedent & (size > 10.0 * eps), size, 0.0)
 

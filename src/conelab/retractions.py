@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfspaces,
-                    Simplicial, _as_batch, _row_exponents, _row_max, as_vector,
+                    Simplicial, _as_batch, _row_exponents, _row_max, _row_norm, as_vector,
                     cone_from_json, cone_to_json, negate, polar, to_halfspaces)
 
 
@@ -28,14 +28,14 @@ def _lorentz_closed_form(X):
 
 def _lorentz_branches(X):
     bar, t = X[:, :-1], X[:, -1]
-    r = np.linalg.norm(bar, axis=1)
+    r = _row_norm(bar)
     alpha = 0.5 * (r + t)
-    unit = bar / np.where(r == 0.0, 1.0, r)[:, None]
-    P = np.concatenate([alpha[:, None] * unit, alpha[:, None]], axis=1)
-    inside = r <= t            # ties fall to the interior branch
-    inpolar = r <= -t
-    P[inside] = X[inside]
-    P[inpolar] = 0.0
+    # The three branches are written into one array; the polar's is last.
+    P = np.empty_like(X)
+    np.multiply(alpha[:, None], bar / np.where(r == 0.0, 1.0, r)[:, None], out=P[:, :-1])
+    P[:, -1] = alpha
+    np.copyto(P, X, where=(r <= t)[:, None])  # ties fall to the interior branch
+    np.copyto(P, 0.0, where=(r <= -t)[:, None])
     return P
 
 

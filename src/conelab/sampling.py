@@ -6,7 +6,7 @@ import hashlib
 
 import numpy as np
 
-from .cones import Lorentz, Simplicial, generators_of
+from .cones import Lorentz, Simplicial, _row_norm, generators_of
 
 
 def rng_for(seed, key):
@@ -39,7 +39,7 @@ def cone_members(cone, rng, n):
         return coeff @ cone.basis.T
     if isinstance(cone, Lorentz):
         bar = rng.standard_normal((n, m - 1))
-        radius = np.linalg.norm(bar, axis=1)
+        radius = _row_norm(bar)
         t = radius * (1.0 + np.abs(rng.standard_normal(n)))
         pts = np.concatenate([bar, t[:, None]], axis=1) / np.sqrt(m)
         return -pts if cone.negated else pts
