@@ -30,7 +30,8 @@ def _lorentz_branches(X):
     bar, t = X[:, :-1], X[:, -1]
     r = _row_norm(bar)
     alpha = 0.5 * (r + t)
-    # The three branches are written into one array; the polar's is last.
+    # One array takes all three branches; the polar's is written last, so it
+    # wins where r = t = 0, which projects to +0.0 whatever the signs of X.
     P = np.empty_like(X)
     np.multiply(alpha[:, None], bar / np.where(r == 0.0, 1.0, r)[:, None], out=P[:, :-1])
     P[:, -1] = alpha

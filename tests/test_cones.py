@@ -9,7 +9,8 @@ from conelab import (DEFAULT_TOL, Lorentz, Orthant, PolyhedralGenerators,
                      generators_of, is_generating, is_pointed, lattice_pair, leq,
                      moreau_pair, negate, polar, project_cone, sample_simplicial,
                      to_halfspaces)
-from conelab.cones import _FOLD_ROWS, _row_max, _row_min
+from conelab.cones import (_FOLD_ROWS, _joint_row_exponents, _row_exponents, _row_max,
+                           _row_min, _row_norm)
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))  # columns (1,0), (1,1)
@@ -266,6 +267,53 @@ def test_row_folds_match_numpy_reductions(rows):
         C = _FOLD_ENTRIES[rng.integers(0, len(_FOLD_ENTRIES), (rows, cols))]
         _same_bits(_row_min(C) + 0.0, C.min(axis=1) + 0.0)  # + 0.0 maps -0.0 to 0.0
         _same_bits(_row_max(C) + 0.0, C.max(axis=1) + 0.0)
+
+
+_NORM_ENTRIES = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0,
+                          1e300, -1e300, 1e-300, -1e-300])
+
+
+@pytest.mark.parametrize("rows", [0, 1, _FOLD_ROWS - 1, _FOLD_ROWS, 1000])
+def test_row_norm_matches_numpy(rows):
+    # Batches of _FOLD_ROWS or more rows of fewer than 8 columns fold their
+    # squares over the columns, which adds each row left to right as numpy's
+    # pairwise sum does below 8 terms; from 8 columns numpy sums in lanes,
+    # which the Gaussian entries (whose sums round) tell apart.
+    rng = rng_for(rows, "row-norm")
+    for cols in range(1, 17):
+        shape = (rows, cols + 1)
+        special = _NORM_ENTRIES[rng.integers(0, len(_NORM_ENTRIES), shape)]
+        gauss = rng.standard_normal(shape) * np.exp2(rng.integers(-30, 31, (rows, 1)))
+        for C in (special, gauss, np.where(rng.random(shape) < 0.3, special, gauss)):
+            for X in (np.ascontiguousarray(C[:, :-1]), C[:, :-1], C[:, 1:],
+                      np.stack([C[:, :-1], -C[:, 1:], 2.0 * C[:, :-1]])):
+                with np.errstate(over="ignore"):  # (1e300)^2 is inf in both
+                    _same_bits(_row_norm(X), np.linalg.norm(X, axis=-1))
+
+
+def test_joint_row_exponents_match_hstack():
+    rng = rng_for(0, "joint-exponents")
+    A, B = rng.standard_normal((50, 3)), rng.standard_normal((50, 4))
+    huge, nan = B.copy(), B.copy()
+    huge[17, 2], nan[3, 1] = 1e300, np.nan
+    zeros = np.zeros((50, 2))
+    cases = [
+        (A, B),                                  # in range: no row is scaled
+        (A, huge), (huge, A), (A, zeros, huge),  # one huge row among normal ones
+        (1e-200 * A, 1e-200 * B),                # tiny rows
+        (1e-200 * A, zeros),                     # tiny rows beside zeros
+        (np.where(A > 0, 2.0 ** -500, 0.0), B * 0.0),  # the edges of the range
+        (np.where(A > 0, 2.0 ** 500, 0.0), zeros),
+        (zeros, -zeros),                         # all zero
+        (np.zeros((0, 3)), np.zeros((0, 4))),    # empty
+        (A, nan),                                # NaN scales as it does joined
+        (huge,),
+    ]
+    for arrays in cases:
+        got, want = _joint_row_exponents(arrays), _row_exponents(np.hstack(arrays))
+        assert (got is None) == (want is None)
+        if want is not None:
+            _same_bits(got, want)
 
 
 def test_negate_reuses_the_factorization():

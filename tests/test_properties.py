@@ -305,6 +305,34 @@ def test_shrunk_witness_is_smallest_failing_scale(cone):
     assert shrunk >= 40
 
 
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_lorentz_residuals_are_row_stable(dim):
+    # Each row of a k-row batch gets the bits of its own 1-row evaluation in
+    # the residuals of the five checks that fail on a Moreau Lorentz pair.
+    # Row norms and the closed form are row by row; matrix products, which a
+    # polyhedral pair runs, are not (ROADMAP item 5).
+    pair = moreau_pair(Lorentz(dim))
+    residuals = {
+        "subadditive-m": (properties._subadditivity(pair.m, pair.subadd_cone_m), None),
+        "subadditive-n": (properties._subadditivity(pair.n, pair.cone_n), None),
+        "isotone-m": (properties._isotonicity(pair.m, pair.cone_m), pair.cone_m),
+        "isotone-n": (properties._isotonicity(pair.n, pair.cone_n), pair.cone_n),
+        "subadditivity-defects": (properties._subadditivity(pair.m, pair.subadd_cone_m), None),
+    }
+    rng = sampling.rng_for(dim, "row-stable")
+    failing = dict.fromkeys(residuals, 0)
+    for k in (2, 8, 16, 64, 1000):
+        for name, (residual, order) in residuals.items():
+            X = sampling.gaussian_points(rng, k, dim)
+            Y = (sampling.gaussian_points(rng, k, dim) if order is None
+                 else X + sampling.cone_members(order, rng, k))
+            batch = residual(X, Y)
+            failing[name] += int((batch > 10.0 * pair.tol.eps_membership).sum())
+            for i in range(k):
+                assert batch[i] == residual(X[i:i + 1], Y[i:i + 1])[0], (name, k, i)
+    assert min(failing.values()) > 0, failing
+
+
 @pytest.mark.parametrize("residual", [
     # a step: no fit through t = 1 and t = 1/2
     lambda X: np.where(np.linalg.norm(X, axis=1) > 0.25, 1.0, 0.0),

@@ -5,7 +5,7 @@ from conelab import (FaceTable, Lorentz, Orthant, PolyhedralGenerators, Polyhedr
                      Simplicial, contains, generators_of, is_generating, lattice_pair,
                      minkowski_pair, moreau_pair, pair_from_json, project_cone,
                      sample_simplicial)
-from conelab import oracle, run_catalogue
+from conelab import oracle, retractions, run_catalogue
 from conelab.sampling import gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -97,6 +97,39 @@ def test_moreau_lorentz_maps_scale_exactly(dim):
         t = 2.0 ** k
         assert np.array_equal(pair.m(t * X), t * M), k
         assert np.array_equal(pair.n(t * X), t * N), k
+
+
+def _masked_lorentz_branches(X):
+    """The three-branch closed form with boolean-indexed assignments."""
+    bar, t = X[:, :-1], X[:, -1]
+    r = np.linalg.norm(bar, axis=1)
+    alpha = 0.5 * (r + t)
+    unit = bar / np.where(r == 0.0, 1.0, r)[:, None]
+    P = np.concatenate([alpha[:, None] * unit, alpha[:, None]], axis=1)
+    inside = r <= t
+    inpolar = r <= -t
+    P[inside] = X[inside]
+    P[inpolar] = 0.0
+    return P
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_lorentz_closed_form_matches_masked_reference(dim):
+    # The branches are written in place, the polar's last, so every bit
+    # matches the masked form, signed zeros included.
+    rng = rng_for(dim, "lorentz-branches")
+    bar = np.vstack([np.full(dim - 1, 3.0), rng.standard_normal((1000, dim - 1))])
+    r = np.linalg.norm(bar, axis=1)
+    ties = np.vstack([np.column_stack([bar, r]), np.column_stack([bar, -r])])
+    zeros = np.array([[0.0] * dim, [-0.0] * dim, [0.0] * (dim - 1) + [-0.0],
+                      [-0.0] * (dim - 1) + [0.0]])
+    X = np.vstack([ties, zeros, gaussian_points(rng, 1000, dim)])
+    for rows in (X, X[:1], X[-7:], X[1001:1003], X[2002:2006]):
+        ref = _masked_lorentz_branches(rows)
+        assert retractions._lorentz_branches(rows).tobytes() == ref.tobytes()
+        for k in (-990, 990):
+            got = retractions._lorentz_closed_form(np.ldexp(rows, k))
+            assert got.tobytes() == np.ldexp(ref, k).tobytes(), k
 
 
 def test_moreau_orthogonality_and_norms():
