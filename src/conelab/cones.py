@@ -303,6 +303,30 @@ def _ray_projector(A):
     return lambda X: table.project(X)[0]
 
 
+def _lorentz_closed_form(X):
+    """Three-branch projection onto {(xbar, t) : |xbar| <= t}, vectorized;
+    rows that :func:`_row_exponents` scales are projected scaled and
+    scaled back (exact), so |xbar| neither overflows nor underflows."""
+    e = _row_exponents(X)
+    if e is None:
+        return _lorentz_branches(X)
+    return np.ldexp(_lorentz_branches(np.ldexp(X, -e[:, None])), e[:, None])
+
+
+def _lorentz_branches(X):
+    bar, t = X[:, :-1], X[:, -1]
+    r = _row_norm(bar)
+    alpha = 0.5 * (r + t)
+    # One array takes all three branches; the polar's is written last, so it
+    # wins where r = t = 0, which projects to +0.0 whatever the signs of X.
+    P = np.empty_like(X)
+    np.multiply(alpha[:, None], bar / np.where(r == 0.0, 1.0, r)[:, None], out=P[:, :-1])
+    P[:, -1] = alpha
+    np.copyto(P, X, where=(r <= t)[:, None])  # ties fall to the interior branch
+    np.copyto(P, 0.0, where=(r <= -t)[:, None])
+    return P
+
+
 @dataclass(frozen=True, eq=False)
 class Simplicial(ConeSpec):
     """Cone generated by the columns of an invertible basis matrix."""
@@ -371,6 +395,12 @@ class Lorentz(ConeSpec):
     @property
     def dim(self):
         return self.ambient_dim
+
+    def _projector(self):
+        """The closed form of the three-branch projection; -P(-x) when negated."""
+        if self.negated:
+            return lambda X: -_lorentz_closed_form(-X)
+        return _lorentz_closed_form
 
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)

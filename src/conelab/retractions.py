@@ -11,44 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import (DEFAULT_TOL, Lorentz, PolyhedralGenerators, PolyhedralHalfspaces,
-                    Simplicial, _as_batch, _row_exponents, _row_max, _row_norm, as_vector,
-                    cone_from_json, cone_to_json, negate, polar, to_halfspaces)
-
-
-def _lorentz_closed_form(X):
-    """Three-branch projection onto {(xbar, t) : |xbar| <= t}, vectorized;
-    rows that :func:`cones._row_exponents` scales are projected scaled and
-    scaled back (exact), so |xbar| neither overflows nor underflows."""
-    e = _row_exponents(X)
-    if e is None:
-        return _lorentz_branches(X)
-    return np.ldexp(_lorentz_branches(np.ldexp(X, -e[:, None])), e[:, None])
-
-
-def _lorentz_branches(X):
-    bar, t = X[:, :-1], X[:, -1]
-    r = _row_norm(bar)
-    alpha = 0.5 * (r + t)
-    # One array takes all three branches; the polar's is written last, so it
-    # wins where r = t = 0, which projects to +0.0 whatever the signs of X.
-    P = np.empty_like(X)
-    np.multiply(alpha[:, None], bar / np.where(r == 0.0, 1.0, r)[:, None], out=P[:, :-1])
-    P[:, -1] = alpha
-    np.copyto(P, X, where=(r <= t)[:, None])  # ties fall to the interior branch
-    np.copyto(P, 0.0, where=(r <= -t)[:, None])
-    return P
-
-
-def _projector(cone):
-    """Vectorized metric projector onto a supported cone: a closed form for
-    Lorentz cones, else the polyhedral cone's own projector, the clamp of
-    orthogonal rays or face enumeration (:func:`cones._ray_projector`)."""
-    if isinstance(cone, Lorentz):
-        if cone.negated:
-            return lambda X: -_lorentz_closed_form(-X)
-        return _lorentz_closed_form
-    return cone._projector()
+from .cones import (DEFAULT_TOL, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
+                    _as_batch, _row_max, as_vector, cone_from_json, cone_to_json, negate,
+                    polar, to_halfspaces)
 
 
 def project_cone(cone, x):
@@ -59,7 +24,7 @@ def project_cone(cone, x):
     batch.
     """
     X, single = _as_batch(x, cone.dim)
-    P = _projector(cone)(X)
+    P = cone._projector()(X)
     return P[0] if single else P
 
 
@@ -133,8 +98,7 @@ def moreau_pair(cone, tol=DEFAULT_TOL):
     pol = polar(cone)
     if isinstance(cone, PolyhedralGenerators) and not len(pol._rays()):
         raise ValueError("polar cone is {0}: the generators span the whole space")
-    return RetractionPair("moreau", cone, pol, _projector(cone), _projector(pol),
-                          tol=tol,
+    return RetractionPair("moreau", cone, pol, cone._projector(), pol._projector(), tol=tol,
                           descriptor={"family": "moreau", "cone": cone_to_json(cone)})
 
 

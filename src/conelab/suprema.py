@@ -16,6 +16,7 @@ points.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,12 @@ def closed_form_sup(cone, u, v):
     return cone.basis @ np.maximum(cu, cv)
 
 
+def _violated(cone, eps, chain):
+    """Whether some (lo, hi) of ``chain`` has a membership residual of
+    hi - lo above ``eps``; the pairs are tested in order, up to the first."""
+    return any(float(cone.membership_residual(hi - lo)) > eps for lo, hi in chain)
+
+
 def iterative_sup(pair, u, v, max_iter=100):
     """Compute sup{u, v} by alternating the anchored maps of the pair.
 
@@ -106,7 +113,8 @@ def iterative_sup(pair, u, v, max_iter=100):
     Each step is validated against the order: iterates must increase and
     stay below the scaffold bound m(u) + m(v); a violation ends the run
     with status ``diverged`` (the pair does not behave like a lattice
-    retraction).
+    retraction).  Outside [2^-300, 2^300] (the largest entry of u and v),
+    norms are taken at one exact power-of-two scale, so they stay finite.
 
     Returns a :class:`SupTrace`; on convergence the result is checked to be
     an upper bound of {u, v} and below the scaffold bound, recorded in the
@@ -114,58 +122,40 @@ def iterative_sup(pair, u, v, max_iter=100):
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    u = as_vector(u, pair.dim)
-    v = as_vector(v, pair.dim)
-    tol = pair.tol
-    fail_eps = 10.0 * tol.eps_membership
-    cone = pair.cone_m
-    m_u = lambda x: sup_m(pair, x, u)  # noqa: E731
-    m_v = lambda x: sup_m(pair, x, v)  # noqa: E731
+    u, v = as_vector(u, pair.dim), as_vector(v, pair.dim)
+    tol, cone, eps = pair.tol, pair.cone_m, 10.0 * pair.tol.eps_membership
+    # Norms are read in units of 2^e (1 is ``one``, finite as e >= -1021); the
+    # margin to 2^±512, where squares over- or underflow, lets iterates grow.
+    top = max(map(abs, u.tolist() + v.tolist()))
+    e = 0 if top == 0.0 or 2.0 ** -300 <= top <= 2.0 ** 300 else max(math.frexp(top)[1], -1021)
+    one = math.ldexp(1.0, -e)
+
+    def norm(x):
+        return float(np.linalg.norm(x if e == 0 else np.ldexp(x, -e)))
+
     w = pair.m(u) + pair.m(v)
+    u_its, v_its, gaps = [sup_m(pair, v, u)], [], []
+    status = DIVERGED if _violated(cone, eps, [(u, u_its[0]), (u_its[0], w)]) else MAX_ITER
+    while status == MAX_ITER and len(v_its) < max_iter:
+        u_k, prev_v = u_its[-1], v_its[-1] if v_its else v
+        v_its.append(v_k := sup_m(pair, u_k, v))
+        u_its.append(u_next := sup_m(pair, v_k, u))
+        g_uv, g_uu = norm(u_next - v_k), norm(u_next - u_k)
+        gaps.append((math.ldexp(g_uv, e), math.ldexp(g_uu, e)))
+        limit = tol.eps_converge * (one + norm(u_k))
+        if _violated(cone, eps, [(u_k, u_next), (prev_v, v_k), (u_next, w), (v_k, w)]):
+            status = DIVERGED
+        elif g_uv <= limit and g_uu <= limit:
+            status = CONVERGED
 
-    u_its = [m_u(v)]
-    v_its = []
-    gaps = []
-    status = MAX_ITER
-
-    def _violates(lo, hi):
-        return float(cone.membership_residual(hi - lo)) > fail_eps
-
-    if _violates(u, u_its[0]) or _violates(u_its[0], w):
-        status = DIVERGED
-    else:
-        for _ in range(max_iter):
-            u_k = u_its[-1]
-            v_k = m_v(u_k)
-            u_next = m_u(v_k)
-            v_its.append(v_k)
-            g_uv = float(np.linalg.norm(u_next - v_k))
-            g_uu = float(np.linalg.norm(u_next - u_k))
-            gaps.append((g_uv, g_uu))
-            prev_v = v_its[-2] if len(v_its) >= 2 else v
-            if (_violates(u_k, u_next) or _violates(prev_v, v_k)
-                    or _violates(u_next, w) or _violates(v_k, w)):
-                u_its.append(u_next)
-                status = DIVERGED
-                break
-            u_its.append(u_next)
-            limit = tol.eps_converge * (1.0 + float(np.linalg.norm(u_k)))
-            if g_uv <= limit and g_uu <= limit:
-                status = CONVERGED
-                break
-
-    trace = SupTrace(status=status, u_iterates=[a.copy() for a in u_its],
-                     v_iterates=[a.copy() for a in v_its], residuals=gaps,
+    trace = SupTrace(status=status, u_iterates=u_its, v_iterates=v_its, residuals=gaps,
                      upper_bound_used=w, iterations=len(v_its))
     if status == CONVERGED:
-        result = u_its[-1]
-        trace.result = result.copy()
-        trace.result_is_upper_bound = bool(
-            leq(cone, u, result, tol) and leq(cone, v, result, tol))
+        result = trace.result = u_its[-1].copy()
+        trace.result_is_upper_bound = bool(leq(cone, u, result, tol) and leq(cone, v, result, tol))
         trace.result_below_scaffold = bool(leq(cone, result, w, tol))
-        fp = max(float(np.linalg.norm(m_u(result) - result)),
-                 float(np.linalg.norm(m_v(result) - result)))
-        trace.fixed_point_residual = fp / (1.0 + float(np.linalg.norm(result)))
+        fp = max(norm(sup_m(pair, result, u) - result), norm(sup_m(pair, result, v) - result))
+        trace.fixed_point_residual = fp / (one + norm(result))
     return trace
 
 

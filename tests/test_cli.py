@@ -121,6 +121,26 @@ def test_sup_zero_vectors(tmp_path):
     assert json.loads(out.read_text())["trace"]["result"] == [0.0, 0.0]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_sup_at_scale_1e200_is_finite(tmp_path):
+    # The golden Moreau Lorentz(3) sup config times 1e200: squared entries
+    # overflow, so the norms of the trace are taken at a power-of-two scale.
+    cfg = tmp_path / "sup.json"
+    cfg.write_text(json.dumps({
+        "pair": {"family": "moreau", "cone": {"type": "lorentz", "dim": 3}},
+        "u": [c * 1e200 for c in (1.35, -0.73, 0.51)],
+        "v": [c * 1e200 for c in (0.16, 0.28, -0.1)],
+    }))
+    out = tmp_path / "trace.json"
+    assert main(["sup", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    trace = json.loads(out.read_text(), parse_constant=_reject_constant)["trace"]
+    assert trace["status"] == "converged"
+    assert 0.0 <= trace["contracts"]["fixed_point_residual"] < 1e-8
+
+
 def test_sup_dimension_mismatch_exit_two(tmp_path):
     cfg = tmp_path / "sup.json"
     cfg.write_text(json.dumps({
@@ -185,6 +205,14 @@ def test_human_format(capsys):
     captured = capsys.readouterr().out
     assert "✓ polarity" in captured
     assert "overall: pass" in captured
+
+
+def test_human_format_prints_the_first_witness(capsys):
+    assert main(["verify", "--pair", "moreau", "--samples", "200", "--format", "human"]) == 1
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith(" ✗ subadditive-m "))
+    assert "   witness: x=[" in line and "], y=[" in line
+    assert line.endswith("] residual=2.661e-02")
 
 
 def test_reports_byte_identical_across_thread_caps(tmp_path):
@@ -361,6 +389,34 @@ def test_projector_cap_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("conelab: error: cone has 38 extreme rays, but the face-table "
                    "projector takes at most 12\n")
+
+
+def test_generator_cone_above_the_ray_enumeration_cap(tmp_path, capsys):
+    # Above oracle.MAX_DD_DIM a generator cone keeps its listed generators
+    # and gets no projector, so a Moreau pair refuses it.
+    vectors = (np.eye(11)[:5] + 0.1).tolist()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "moreau",
+                                        "cone": {"type": "generators", "vectors": vectors}},
+                               "samples": 20}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "conelab: error: ray enumeration capped at dimension 10, got 11\n")
+
+
+@pytest.mark.parametrize("cone,point", [
+    # The range line of dimension 12 is a generator cone above the cap.
+    ({"type": "orthant", "dim": 12}, [1.0] * 12),
+    # A halfspace cone is its own halfspace form.
+    ({"type": "halfspaces", "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]},
+     [1.0, 1.0, 1.0]),
+], ids=["orthant-12", "halfspaces"])
+def test_minkowski_verify_passes(tmp_path, cone, point):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "minkowski", "cone": cone,
+                                        "interior_point": point},
+                               "samples": 100, "seed": 1}))
+    assert main(["verify", "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("cone,message", [

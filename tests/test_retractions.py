@@ -5,7 +5,7 @@ from conelab import (FaceTable, Lorentz, Orthant, PolyhedralGenerators, Polyhedr
                      Simplicial, contains, generators_of, is_generating, lattice_pair,
                      minkowski_pair, moreau_pair, pair_from_json, project_cone,
                      sample_simplicial)
-from conelab import oracle, retractions, run_catalogue
+from conelab import cones, oracle, run_catalogue
 from conelab.sampling import gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))
@@ -126,9 +126,9 @@ def test_lorentz_closed_form_matches_masked_reference(dim):
     X = np.vstack([ties, zeros, gaussian_points(rng, 1000, dim)])
     for rows in (X, X[:1], X[-7:], X[1001:1003], X[2002:2006]):
         ref = _masked_lorentz_branches(rows)
-        assert retractions._lorentz_branches(rows).tobytes() == ref.tobytes()
+        assert cones._lorentz_branches(rows).tobytes() == ref.tobytes()
         for k in (-990, 990):
-            got = retractions._lorentz_closed_form(np.ldexp(rows, k))
+            got = cones._lorentz_closed_form(np.ldexp(rows, k))
             assert got.tobytes() == np.ldexp(ref, k).tobytes(), k
 
 

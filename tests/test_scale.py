@@ -9,6 +9,8 @@ same checker's at scale 1.
 """
 
 import functools
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -106,3 +108,50 @@ def test_scaled_pairs_have_failing_rows():
             ("subadditivity-defects", "defect-negation")} <= failing["n-scaled-0.9"]
     assert {("range-kernel", "n-side"),
             ("subadditivity-defects", "member-realized")} <= failing["minkowski"]
+
+
+# The golden sup config's u and v on its Moreau pair, and lattice pairs.
+SUP_CASES = {
+    "moreau-lorentz-3": (PAIRS["moreau-lorentz-3"], [1.35, -0.73, 0.51], [0.16, 0.28, -0.1]),
+    "lattice-orthant": (lattice_pair(Orthant(3)), [0.9, -1.7, 0.4], [-0.6, 0.3, 1.2]),
+    "lattice-skew": (PAIRS["lattice-skew"], [0.9, -1.7, 0.4], [-0.6, 0.3, 1.2]),
+}
+# iterative_sup's order checks read the membership residual of hi - lo,
+# relative to 1 + |hi - lo|.  On the skew cone w - u1 is rounding noise, so
+# from about 2^24 its residual is noise over noise and the run diverges.
+_SKEW_SUP = pytest.param(
+    "lattice-skew", marks=pytest.mark.xfail(
+        strict=True, reason="order-check residual is relative to 1 + |hi - lo|"))
+
+
+@pytest.mark.parametrize("k", [300, 600, 1000])
+@pytest.mark.parametrize("name", ["moreau-lorentz-3", "lattice-orthant", _SKEW_SUP])
+def test_sup_trace_scales_exactly(name, k):
+    # Outside [2^-300, 2^300] iterative_sup takes its norms at one power of
+    # two, so a trace scaled by 2^k has every iterate and gap of the unscaled
+    # one times 2^k, bit for bit.
+    pair, u, v = SUP_CASES[name]
+    base = suprema.iterative_sup(pair, u, v)
+    tr = suprema.iterative_sup(pair, np.ldexp(u, k), np.ldexp(v, k))
+    assert (tr.status, tr.iterations) == (base.status, base.iterations)
+    for got, ref in ((tr.u_iterates, base.u_iterates), (tr.v_iterates, base.v_iterates),
+                     ([tr.upper_bound_used], [base.upper_bound_used]),
+                     (tr.residuals, base.residuals)):
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert np.ldexp(np.asarray(b), k).tobytes() == np.asarray(a).tobytes()
+    if base.result is not None:
+        assert np.ldexp(base.result, k).tobytes() == tr.result.tobytes()
+
+
+@pytest.mark.parametrize("k", [-1070, -600, -300, 300, 600, 1000])
+@pytest.mark.parametrize("name", list(SUP_CASES))
+def test_sup_trace_json_is_strict(name, k):
+    # Below 1 the 1 in each relative tolerance dominates, so the status may
+    # differ from the unscaled run's; no norm may over- or underflow, and at
+    # 2^-1070 (subnormal entries) the unit of the norms must stay finite.
+    pair, u, v = SUP_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tr = suprema.iterative_sup(pair, np.ldexp(u, k), np.ldexp(v, k))
+    json.dumps(tr.to_json_dict(), allow_nan=False)

@@ -139,6 +139,18 @@ def test_exploratory_run_records_without_asserting():
     assert "diverged" in statuses or "max_iter" in statuses
 
 
+def test_order_violation_inside_the_loop_diverges():
+    # The first step passes the pre-check, then breaks the order: the run
+    # stops there with both iterates of that step recorded.
+    pair = moreau_pair(Simplicial(np.array([[1, .3, 0], [0, 1, 0], [0, 0, 1]])))
+    u = [0.7241046068637975, 1.7900448207447224, -1.1037253994775256]
+    v = [0.12156239917168465, -0.6671638984682418, -1.6090147662897034]
+    tr = iterative_sup(pair, u, v)
+    assert (tr.status, tr.iterations) == ("diverged", 1)
+    assert len(tr.u_iterates) == 2 and len(tr.v_iterates) == 1 and len(tr.residuals) == 1
+    assert tr.result is None and not tr.certified
+
+
 def test_max_iter_validation():
     with pytest.raises(ValueError):
         iterative_sup(lattice_pair(Orthant(2)), [1.0, 0.0], [0.0, 1.0], max_iter=0)
