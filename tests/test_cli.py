@@ -135,9 +135,11 @@ def test_sup_at_scale_1e200_is_finite(tmp_path):
         "v": [c * 1e200 for c in (0.16, 0.28, -0.1)],
     }))
     out = tmp_path / "trace.json"
-    assert main(["sup", "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert main(["sup", "--config", str(cfg), "--out", str(out)]) == 0
     trace = json.loads(out.read_text(), parse_constant=_reject_constant)["trace"]
     assert trace["status"] == "converged"
+    assert trace["contracts"]["result_is_upper_bound"]
+    assert trace["contracts"]["result_below_scaffold"]
     assert 0.0 <= trace["contracts"]["fixed_point_residual"] < 1e-8
 
 
