@@ -224,13 +224,20 @@ def _canonical_rows(R):
     U = oracle._unit_rows(R) + 0.0  # -0.0 reads as 0.0
     U = U[np.lexsort(np.vstack([U.T[::-1], np.round(U, 9).T[::-1]]))]
     # far[i, j]: rows i and j differ by more than the threshold in some entry.
-    far = functools.reduce(np.maximum, (abs(c[:, None] - c) for c in U.T)) > _REPRODUCE_RTOL
+    far = np.abs(U[:, None, :] - U).max(axis=2) > _REPRODUCE_RTOL
     keep, ok = [], np.ones(len(U), dtype=bool)  # ok: far from every kept row
     for i in range(len(U)):
         if ok[i]:
             keep.append(i)
             ok &= far[i]
     return U[keep]
+
+
+def _orthogonal_polar(E):
+    """The polar of ``dim`` pairwise orthogonal rays E, exactly: the cone of
+    -E, whose rays are known, so it enumerates none.  None for other rays."""
+    if _orthogonal(E.T) is not None:
+        return _with_rays(PolyhedralHalfspaces(-E), _canonical_rows(-E))
 
 
 def _readonly(a):
@@ -452,7 +459,8 @@ class PolyhedralGenerators(ConeSpec):
         fails that test still stays unless the projector of the kept rays,
         which becomes this cone's projector, reproduces it to ``_REPRODUCE_RTOL``.
         The polar's rays and lineality pairs are then recomputed from the kept
-        rays alone, so redundant generators change neither matrix.
+        rays alone, so redundant generators change neither matrix; ``dim``
+        orthogonal kept rays E get the exact polar -E of :func:`polar` instead.
         """
         V, m = self.vectors, self.dim
         if m > oracle.MAX_DD_DIM:
@@ -470,6 +478,8 @@ class PolyhedralGenerators(ConeSpec):
         missed = _row_norm(S - project(S)) > _REPRODUCE_RTOL * _row_norm(S)
         if missed.any():
             E, project = _canonical_rows(np.vstack([E, S[missed]])), None
+        if (exact := _orthogonal_polar(E)) is not None:
+            return _readonly(E), exact, project
         # In the span of the rays (basis Q), each polar ray is the null
         # direction of the rays it is tight on.  The polar's lineality pairs,
         # tight on every ray, span the rest of the space.
@@ -519,10 +529,13 @@ class PolyhedralHalfspaces(ConeSpec):
             object.__setattr__(self, "_ray_rows", r)
         return r
 
+    @functools.cached_property
+    def _unit_normals(self):
+        return _readonly(oracle._unit_rows(self.normals))
+
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        unit = oracle._unit_rows(self.normals)
-        res = _relative(lambda X: _row_max(np.maximum(0.0, -(X @ unit.T))), X)
+        res = _relative(lambda X: _row_max(np.maximum(0.0, -(X @ self._unit_normals.T))), X)
         return self._finish(res, single)
 
 
@@ -579,9 +592,7 @@ def polar(cone):
             if sv[-1] > sv[0] * _SINGULAR_RTOL:
                 return PolyhedralGenerators(-N)
         E = generators_of(cone)
-        if _orthogonal(E.T) is not None:  # the polar of a rotated orthant is its negation
-            return _with_rays(PolyhedralHalfspaces(-E), _canonical_rows(-E))
-        return PolyhedralHalfspaces(-E)
+        return _orthogonal_polar(E) or PolyhedralHalfspaces(-E)
     raise ValueError(f"unsupported cone: {cone!r}")
 
 

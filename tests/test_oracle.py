@@ -277,14 +277,26 @@ def test_face_table_matches_per_subset_reference(k, m):
         assert np.array_equal(P, P0) and np.array_equal(S, S0)
 
 
-@pytest.mark.parametrize("k,m", [(2, 2), (3, 2), (3, 3), (5, 3), (6, 4), (8, 5), (12, 6),
-                                 (12, 10)])
-def test_double_description_matches_per_subset_reference(k, m):
+# Random normals (k, m), then the cones of perfbench's project-polyhedral
+# workload: an orthogonal basis of R^d plus r strictly interior normals.
+_DD_CASES = ([pytest.param(k, m, None, id=f"{k}-{m}")
+              for k, m in [(2, 2), (3, 2), (3, 3), (5, 3), (6, 4), (8, 5), (12, 6), (12, 10)]]
+             + [pytest.param(d + r, d, r, id=f"orthant-{d}+{r}")
+                for d, r in [(5, 4), (6, 3), (7, 2)]])
+
+
+@pytest.mark.parametrize("k,m,redundant", _DD_CASES)
+def test_double_description_matches_per_subset_reference(k, m, redundant):
     rng = rng_for(k * 100 + m, "dd-reference")
-    N = rng.standard_normal((k, m))
-    N[:, -1] = np.abs(N[:, -1]) + 0.5  # every normal leans on the last axis: pointed
-    if k > m:
-        N[k - 1] = N[0]  # a duplicated normal, keeping the normals of full rank
+    if redundant is None:
+        N = rng.standard_normal((k, m))
+        N[:, -1] = np.abs(N[:, -1]) + 0.5  # every normal leans on the last axis: pointed
+        if k > m:
+            N[k - 1] = N[0]  # a duplicated normal, keeping the normals of full rank
+    else:
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        B = Q.T * rng.uniform(0.5, 2.0, (m, 1))
+        N = np.vstack([B, rng.uniform(0.2, 1.0, (redundant, m)) @ B])
     rays = double_description(N)
     reference = _reference_rays(N)
     assert len(rays) == len(reference)

@@ -2,7 +2,8 @@
 depend on how the cone was written.
 
 A cone given by generators keeps its extreme rays only, as sorted unit
-vectors, and its polar's rays are recomputed from them; a cone given
+vectors, and its polar's rays are recomputed from them (``dim`` orthogonal
+rays E get the exact polar -E, in either form); a cone given
 by halfspaces runs one double description on its sorted unit normals.  So
 permuting the generators, scaling each by 2^k, or appending positive
 combinations of them changes nothing a report reads, bit for bit, and
@@ -147,6 +148,22 @@ def test_orthant_forms_give_equal_verdicts():
                 (Orthant(3), Simplicial(np.eye(3)), PolyhedralGenerators(np.eye(3)),
                  PolyhedralHalfspaces(np.eye(3)))]
     assert all(v == verdicts[0] for v in verdicts)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_orthogonal_rays_get_the_exact_polar(d):
+    # The polar of d orthogonal rays E is the cone of -E: both forms give its
+    # rays as -E, bit for bit, not recomputed from tight sets (which rounds).
+    rng = rng_for(d, "exact-orthogonal-polar")
+    for redundant in range(4):
+        G = _rotated_orthant(rng, d)
+        V = np.vstack([G, rng.uniform(0.2, 1.0, (redundant, d)) @ G])  # strictly interior
+        V = np.ldexp(V, rng.integers(-8, 9, (len(V), 1)))
+        forms = [PolyhedralGenerators(V)] + [PolyhedralHalfspaces(V)] * (redundant > 0)
+        for cone in forms:
+            E = generators_of(cone)
+            assert E.shape == (d, d)
+            assert generators_of(polar(cone)).tobytes() == _canonical_rows(-E).tobytes()
 
 
 @pytest.mark.parametrize("delta", [1e-1, 1e-6, 1e-10])
