@@ -234,10 +234,9 @@ def _canonical_rows(R):
 
 
 def _orthogonal_polar(E):
-    """The polar of ``dim`` pairwise orthogonal rays E, exactly: the cone of
-    -E, whose rays are known, so it enumerates none.  None for other rays."""
-    if _orthogonal(E.T) is not None:
-        return _with_rays(PolyhedralHalfspaces(-E), _canonical_rows(-E))
+    """The exact polar of ``dim`` pairwise orthogonal rays E (see
+    :func:`_orthogonal`): the cone of -E, whose rays are known."""
+    return _with_rays(PolyhedralHalfspaces(-E), _canonical_rows(-E))
 
 
 def _readonly(a):
@@ -276,8 +275,8 @@ class ConeSpec:
         (a simplicial cone's basis, else :func:`generators_of`), built once."""
         p = getattr(self, "_projector_fn", None)
         if p is None:
-            p = _ray_projector(self.basis if isinstance(self, Simplicial)
-                               else generators_of(self).T)
+            A = self.basis if isinstance(self, Simplicial) else generators_of(self).T
+            p = _ray_projector(A, _orthogonal(A))
             object.__setattr__(self, "_projector_fn", p)
         return p
 
@@ -292,15 +291,15 @@ def _orthogonal(A):
     return d if np.abs(gram - np.diag(d)).max() <= _ORTHO_RTOL * d.max() else None
 
 
-def _ray_projector(A):
-    """Vectorized metric projector onto the cone of the columns of ``A``.
+def _ray_projector(A, d):
+    """Vectorized metric projector onto the cone of the columns of ``A``,
+    where ``d`` is :func:`_orthogonal` of ``A``.
 
     Square ``A`` with pairwise orthogonal columns (an orthant, rotated or
     not) projects by clamping its scaled coordinates, the lattice positive
     part (Moreau 1962): exact, and one product each way.  Any other cone
     goes through face enumeration on a ``FaceTable`` of its columns.
     """
-    d = _orthogonal(A)
     if d is not None:
         return lambda X: np.maximum((X @ A) / d, 0.0) @ A.T
     if A.shape[1] > oracle.MAX_GENERATORS:
@@ -474,12 +473,14 @@ class PolyhedralGenerators(ConeSpec):
         on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
         E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
-        project = _ray_projector(E.T)
+        ortho = _orthogonal(E.T)  # picks both the clamp projector and the exact polar
+        project = _ray_projector(E.T, ortho)
         missed = _row_norm(S - project(S)) > _REPRODUCE_RTOL * _row_norm(S)
         if missed.any():
             E, project = _canonical_rows(np.vstack([E, S[missed]])), None
-        if (exact := _orthogonal_polar(E)) is not None:
-            return _readonly(E), exact, project
+            ortho = _orthogonal(E.T)
+        if ortho is not None:
+            return _readonly(E), _orthogonal_polar(E), project
         # In the span of the rays (basis Q), each polar ray is the null
         # direction of the rays it is tight on.  The polar's lineality pairs,
         # tight on every ray, span the rest of the space.
@@ -529,13 +530,10 @@ class PolyhedralHalfspaces(ConeSpec):
             object.__setattr__(self, "_ray_rows", r)
         return r
 
-    @functools.cached_property
-    def _unit_normals(self):
-        return _readonly(oracle._unit_rows(self.normals))
-
     def membership_residual(self, x):
         X, single = _as_batch(x, self.dim)
-        res = _relative(lambda X: _row_max(np.maximum(0.0, -(X @ self._unit_normals.T))), X)
+        unit = oracle._unit_rows(self.normals)
+        res = _relative(lambda X: _row_max(np.maximum(0.0, -(X @ unit.T))), X)
         return self._finish(res, single)
 
 
@@ -592,7 +590,9 @@ def polar(cone):
             if sv[-1] > sv[0] * _SINGULAR_RTOL:
                 return PolyhedralGenerators(-N)
         E = generators_of(cone)
-        return _orthogonal_polar(E) or PolyhedralHalfspaces(-E)
+        if _orthogonal(E.T) is not None:
+            return _orthogonal_polar(E)
+        return PolyhedralHalfspaces(-E)
     raise ValueError(f"unsupported cone: {cone!r}")
 
 

@@ -118,7 +118,8 @@ class FaceTable:
         self.generators = G
         k, m = G.shape
         self.dim = m
-        self.subsets, self._groups = [()], []
+        subsets = [()]
+        groups = []
         for size in range(1, min(k, m) + 1):
             S = _subsets(k, size)
             GS = G[S].transpose(0, 2, 1)  # (n_s, m, size), columns are generators
@@ -126,8 +127,10 @@ class FaceTable:
             keep = sv[:, -1] > sv[:, 0] * _RANK_RTOL  # else covered by a smaller face
             if keep.any():
                 GS = np.ascontiguousarray(GS[keep])
-                self._groups.append((np.linalg.pinv(GS), GS))
-                self.subsets.extend(map(tuple, S[keep].tolist()))
+                groups.append((np.linalg.pinv(GS), GS))
+                subsets.extend(map(tuple, S[keep].tolist()))
+        self.subsets = subsets
+        self._groups = groups
 
     def project(self, points):
         """Project a batch of points; returns (projections, winner indices).
@@ -290,8 +293,18 @@ def double_description(halfspaces):
     Bn = _unit_rows(B)
 
     r, Vt = _row_space(Bn)
+    lines = [Vt[i] for i in range(r, m)]
     Q = Vt[:r].T                        # (m, r) row-space basis
     Br = Bn @ Q                         # (k, r), full column rank
+
+    rays_reduced = []
+
+    def _push(d):
+        for kept in rays_reduced:
+            if np.linalg.norm(kept - d) <= 1e-9:
+                return
+        rays_reduced.append(d)
+
     if r == 1:
         D = np.ones((1, 1))
     else:
@@ -299,17 +312,20 @@ def double_description(halfspaces):
         _, sa, Va = np.linalg.svd(Br[S], full_matrices=True)
         rank = (sa > sa[:, :1] * _RANK_RTOL).sum(axis=1)
         D = Va[rank == r - 1, -1]  # null direction of each independent subset
-    # Each admitted direction, then its negation, joins the rays unless within
-    # 1e-9 of one already kept; -F is exact for -d.
+    # Each admitted direction, then its negation, in that order; -F is exact for -d.
     F = D @ Br.T
     plus, minus = (F >= -_FEAS_TOL).all(axis=1), (-F >= -_FEAS_TOL).all(axis=1)
-    rays = []
     for i in np.flatnonzero(plus | minus):
-        for d, admitted in ((D[i], plus[i]), (-D[i], minus[i])):
-            if admitted and all(np.linalg.norm(kept - d) > 1e-9 for kept in rays):
-                rays.append(d)
-    out = [v / np.linalg.norm(v) for v in (Q @ d for d in rays)]
-    return out + [v for line in Vt[r:] for v in (line.copy(), -line)]
+        if plus[i]:
+            _push(D[i])
+        if minus[i]:
+            _push(-D[i])
+    out = [Q @ d for d in rays_reduced]
+    out = [v / np.linalg.norm(v) for v in out]
+    for line in lines:
+        out.append(line.copy())
+        out.append(-line)
+    return out
 
 
 # Rows generate the planar cone {(a, b) : |a| <= b}, the two-dimensional
