@@ -108,20 +108,21 @@ def _as_int(x, name, minimum=None):
     return int(x)
 
 
-def _as_batch(x, dim):
-    """Return (points (n, dim), single_flag) for vector or batch input."""
+def _rowwise(f, x, dim):
+    """``f`` applied to ``x``, a vector or an (n, dim) batch, as a batch.  A
+    batch gets ``f``'s result; a vector gets row 0 of its 1-row batch: a
+    float when ``f`` gives one value per row, else a vector."""
     a = np.asarray(x, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("input has NaN/Inf entries")
-    if a.ndim == 1:
-        if a.shape[0] != dim:
-            raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[0]}")
-        return a[None, :], True
+    if a.ndim not in (1, 2):
+        raise ValueError(f"expected vector or (n, {dim}) batch, got ndim {a.ndim}")
+    if a.shape[-1] != dim:
+        raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[-1]}")
     if a.ndim == 2:
-        if a.shape[1] != dim:
-            raise ValueError(f"dimension mismatch: expected {dim}, got {a.shape[1]}")
-        return a, False
-    raise ValueError(f"expected vector or (n, {dim}) batch, got ndim {a.ndim}")
+        return f(a)
+    Y = f(a[None, :])
+    return float(Y[0]) if Y.ndim == 1 else Y[0]
 
 
 # A batch whose largest entry lies outside [_TINY, _HUGE) is rescaled before
@@ -205,12 +206,12 @@ def _row_norm(X):
     return np.sqrt(np.add.reduce(X * X, axis=-1))
 
 
-def _rank(A, rtol=_RANK_RTOL):
-    """Numerical rank: singular values above ``rtol`` times the largest."""
+def _rank(A):
+    """Numerical rank: singular values above ``_RANK_RTOL`` times the largest."""
     if A.size == 0:
         return 0
     sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv > sv[0] * rtol))
+    return int(np.sum(sv > sv[0] * _RANK_RTOL))
 
 
 def _canonical_rows(R):
@@ -267,18 +268,16 @@ class ConeSpec:
         """
         raise NotImplementedError
 
-    def _finish(self, res, single):
-        return float(res[0]) if single else res
+    def _residual(self, violation, x):
+        """:func:`_relative` of ``violation`` on ``x``, a vector or a batch."""
+        return _rowwise(functools.partial(_relative, violation), x, self.dim)
 
+    @functools.cached_property
     def _projector(self):
         """The metric projector of :func:`_ray_projector` on this cone's rays
         (a simplicial cone's basis, else :func:`generators_of`), built once."""
-        p = getattr(self, "_projector_fn", None)
-        if p is None:
-            A = self.basis if isinstance(self, Simplicial) else generators_of(self).T
-            p = _ray_projector(A, _orthogonal(A))
-            object.__setattr__(self, "_projector_fn", p)
-        return p
+        A = self.basis if isinstance(self, Simplicial) else generators_of(self).T
+        return _ray_projector(A, _orthogonal(A))
 
 
 def _orthogonal(A):
@@ -360,14 +359,10 @@ class Simplicial(ConeSpec):
 
     def coordinates(self, x):
         """Basis coordinates c with x = basis @ c."""
-        X, single = _as_batch(x, self.dim)
-        C = X @ self.basis_inv.T
-        return C[0] if single else C
+        return _rowwise(lambda X: X @ self.basis_inv.T, x, self.dim)
 
     def membership_residual(self, x):
-        X, single = _as_batch(x, self.dim)
-        res = _relative(lambda X: np.maximum(0.0, -_row_min(X @ self.basis_inv.T)), X)
-        return self._finish(res, single)
+        return self._residual(lambda X: np.maximum(0.0, -_row_min(X @ self.basis_inv.T)), x)
 
 
 class Orthant(Simplicial):
@@ -381,9 +376,7 @@ class Orthant(Simplicial):
 
     def membership_residual(self, x):
         # The coordinates are x itself, so clamp without the basis product.
-        X, single = _as_batch(x, self.dim)
-        res = _relative(lambda X: np.maximum(0.0, -_row_min(X)), X)
-        return self._finish(res, single)
+        return self._residual(lambda X: np.maximum(0.0, -_row_min(X)), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,6 +395,7 @@ class Lorentz(ConeSpec):
     def dim(self):
         return self.ambient_dim
 
+    @property
     def _projector(self):
         """The closed form of the three-branch projection; -P(-x) when negated."""
         if self.negated:
@@ -409,11 +403,9 @@ class Lorentz(ConeSpec):
         return _lorentz_closed_form
 
     def membership_residual(self, x):
-        X, single = _as_batch(x, self.dim)
         sign = -1.0 if self.negated else 1.0
-        res = _relative(lambda X: np.maximum(0.0, _row_norm(X[:, :-1])
-                                             - sign * X[:, -1]), X)
-        return self._finish(res, single)
+        return self._residual(lambda X: np.maximum(0.0, _row_norm(X[:, :-1])
+                                                   - sign * X[:, -1]), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,26 +424,21 @@ class PolyhedralGenerators(ConeSpec):
 
     def _rays(self):
         """The canonical ray matrix of :func:`generators_of`; read-only."""
-        return self._derived()[0]
+        return self._derived[0]
 
     def _polar(self):
         """The polar cone in halfspace form: the one object :func:`polar` returns."""
-        return self._derived()[1]
+        return self._derived[1]
 
+    @functools.cached_property
     def _projector(self):
-        p = self._derived()[2]
-        return super()._projector() if p is None else p
+        p = self._derived[2]
+        return super()._projector if p is None else p
 
+    @functools.cached_property
     def _derived(self):
-        d = getattr(self, "_derived_data", None)
-        if d is None:
-            d = self._derive()
-            object.__setattr__(self, "_derived_data", d)
-        return d
-
-    def _derive(self):
         """(ray matrix, polar cone, projector of the rays or None), from one
-        double description.
+        double description; built once.
 
         A generator is an extreme ray exactly when the polar rays it is tight
         on have rank ``dim - 1`` (Motzkin et al. 1953).  A generator that
@@ -468,8 +455,7 @@ class PolyhedralGenerators(ConeSpec):
         P = oracle._unit_rows(pol._rays())
         if _rank(P) < m:  # the cone holds a line: keep the listed generators
             return V, pol, None
-        # Rows scaled by powers of two (exact), so no norm below overflows.
-        S = np.ldexp(V, -np.frexp(np.abs(V).max(axis=1))[1][:, None])
+        S = oracle._scaled_rows(V)[0]  # exact, so no norm below overflows
         on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
         E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
@@ -496,10 +482,7 @@ class PolyhedralGenerators(ConeSpec):
         return _readonly(E), _with_rays(PolyhedralHalfspaces(-E), np.vstack([R, lines])), project
 
     def membership_residual(self, x):
-        X, single = _as_batch(x, self.dim)
-        project = self._projector()
-        res = _relative(lambda X: _row_norm(X - project(X)), X)
-        return self._finish(res, single)
+        return self._residual(lambda X: _row_norm(X - self._projector(X)), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,10 +514,8 @@ class PolyhedralHalfspaces(ConeSpec):
         return r
 
     def membership_residual(self, x):
-        X, single = _as_batch(x, self.dim)
         unit = oracle._unit_rows(self.normals)
-        res = _relative(lambda X: _row_max(np.maximum(0.0, -(X @ unit.T))), X)
-        return self._finish(res, single)
+        return self._residual(lambda X: _row_max(np.maximum(0.0, -(X @ unit.T))), x)
 
 
 def contains(cone, x, tol=DEFAULT_TOL):

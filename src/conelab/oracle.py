@@ -43,12 +43,19 @@ def _as_generator_matrix(generators, max_rows=MAX_GENERATORS):
     return G
 
 
+def _scaled_rows(B):
+    """``(S, e)``: the rows of ``B`` scaled by 2^-e to a largest entry in
+    [0.5, 1), with ``e`` one power of two per row, as a column.  Exact, so
+    ``np.ldexp(S, e)`` gives ``B`` back; a zero row keeps e = 0."""
+    e = np.frexp(np.abs(B).max(axis=1, keepdims=True))[1]
+    return np.ldexp(B, -e), e
+
+
 def _unit_rows(B):
-    """Rows of ``B`` divided by their norms.  Each row is first scaled by a
-    power of two to a largest entry in [0.5, 1): exact, so no norm overflows
-    or underflows, and rows whose norms did neither keep their bits."""
-    _, e = np.frexp(np.abs(B).max(axis=1, keepdims=True))
-    S = np.ldexp(B, -e)
+    """Rows of ``B`` divided by their norms, taken on :func:`_scaled_rows`
+    of ``B``, so no norm overflows or underflows, and rows whose norms did
+    neither keep their bits."""
+    S = _scaled_rows(B)[0]
     return S / np.linalg.norm(S, axis=1, keepdims=True)
 
 
@@ -114,7 +121,7 @@ class FaceTable:
         # Every row is scaled by a power of two to a largest entry in
         # [0.5, 1): the cone is the same, the rank test and the pseudo-inverse
         # cutoff no longer see the rows' lengths, and no pseudo-inverse overflows.
-        G = np.ldexp(G, -np.frexp(np.abs(G).max(axis=1))[1][:, None])
+        G = _scaled_rows(G)[0]
         self.generators = G
         k, m = G.shape
         self.dim = m
@@ -146,8 +153,7 @@ class FaceTable:
             raise ValueError(f"dimension mismatch: expected {self.dim}, got {X.shape[1]}")
         if not np.isfinite(X).all():
             raise ValueError("points contain NaN/Inf entries")
-        _, e = np.frexp(np.abs(X).max(axis=1))
-        X = np.ldexp(X, -e[:, None])
+        X, e = _scaled_rows(X)
         best_p = np.zeros_like(X)
         best_d2 = np.einsum("ij,ij->i", X, X)  # empty subset: origin
         best_sub = np.zeros(n, dtype=int)
@@ -156,7 +162,7 @@ class FaceTable:
         for lo in range(0, n, chunk):
             hi = min(n, lo + chunk)
             self._project_chunk(X[lo:hi], best_p[lo:hi], best_d2[lo:hi], best_sub[lo:hi])
-        return np.ldexp(best_p, e[:, None]), best_sub
+        return np.ldexp(best_p, e), best_sub
 
     def _project_chunk(self, X, best_p, best_d2, best_sub):
         XT = X.T

@@ -19,8 +19,9 @@ sample scaled to just above its smallest failing scale, which the positive
 homogeneity of the maps gives in closed form (see :func:`_shrink`); a row
 whose closed-form scale does not confirm is reported at scale 1.
 Checkers are deterministic functions of (pair, n_samples, seed); witnesses
-are sorted by norm and then lexicographically, so reports are
-schedule-invariant.
+are sorted by the row norm of their first input (``cones._row_norm``, which
+gives a row the same norm alone as in any batch), then lexicographically,
+then in insertion order, so reports are schedule-invariant.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ ALGEBRA_TOL = 1e-12
 _WITNESS_CAP = 8
 # Relative margin at which a closed-form smallest failing scale is confirmed.
 _CONFIRM_REL = 1e-7
-
-# Witness order is keyed on the 1-D norm of the first input, which can
-# differ from a batch row norm by a few ulps; every failing row whose batch
-# norm is within this relative margin of the cut gets the exact key.
-_CUT_RTOL = 1e-9
 
 # status codes per sample
 _OK, _BAND, _BAD = 0, 1, 2
@@ -174,7 +170,7 @@ class _Check:
 
     def _witnesses(self):
         """The reported witnesses: the failing rows with the smallest first
-        input by norm, then lexicographically, then in insertion order;
+        input by row norm, then lexicographically, then in insertion order;
         each with its shrunk variant."""
         if not self.failures:
             return []
@@ -190,12 +186,11 @@ class _Check:
         near = range(norms.size)
         if norms.size > _WITNESS_CAP:
             cut = np.partition(norms, _WITNESS_CAP - 1)[_WITNESS_CAP - 1]
-            near = np.flatnonzero(norms <= cut * (1.0 + _CUT_RTOL)).tolist()
+            near = np.flatnonzero(norms <= cut).tolist()
 
         def key(i):
             rows, r = inputs[owner[i]], local[i]
-            return (float(np.linalg.norm(np.ldexp(rows[0][r], -shift))),
-                    tuple(np.concatenate([a[r] for a in rows]).tolist()))
+            return float(norms[i]), tuple(np.concatenate([a[r] for a in rows]).tolist())
 
         chosen = sorted(near, key=key)[:_WITNESS_CAP]
         witnesses = {}

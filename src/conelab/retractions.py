@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import (DEFAULT_TOL, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                    _as_batch, _row_max, as_vector, cone_from_json, cone_to_json, negate,
+                    _row_max, _rowwise, as_vector, cone_from_json, cone_to_json, negate,
                     polar, to_halfspaces)
 
 
@@ -23,9 +23,8 @@ def project_cone(cone, x):
     <x - p, p> = 0, all at tolerance.  Accepts a vector or an (n, dim)
     batch.
     """
-    X, single = _as_batch(x, cone.dim)
-    P = cone._projector()(X)
-    return P[0] if single else P
+    # Looked up inside the lambda: x is validated before a projector is built.
+    return _rowwise(lambda X: cone._projector(X), x, cone.dim)
 
 
 class RetractionPair:
@@ -54,14 +53,10 @@ class RetractionPair:
         return self.cone_m.dim
 
     def m(self, x):
-        X, single = _as_batch(x, self.dim)
-        Y = self._m(X)
-        return Y[0] if single else Y
+        return _rowwise(self._m, x, self.dim)
 
     def n(self, x):
-        X, single = _as_batch(x, self.dim)
-        Y = self._n(X)
-        return Y[0] if single else Y
+        return _rowwise(self._n, x, self.dim)
 
     def descriptor(self):
         """JSON-serializable description, round-trips through pair_from_json."""
@@ -98,7 +93,7 @@ def moreau_pair(cone, tol=DEFAULT_TOL):
     pol = polar(cone)
     if isinstance(cone, PolyhedralGenerators) and not len(pol._rays()):
         raise ValueError("polar cone is {0}: the generators span the whole space")
-    return RetractionPair("moreau", cone, pol, cone._projector(), pol._projector(), tol=tol,
+    return RetractionPair("moreau", cone, pol, cone._projector, pol._projector, tol=tol,
                           descriptor={"family": "moreau", "cone": cone_to_json(cone)})
 
 
@@ -120,9 +115,7 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
         raise ValueError("anchor must be strictly interior to the cone")
 
     def phi(x):
-        X, single = _as_batch(x, hs.dim)
-        vals = _row_max((X @ N.T) / den)
-        return float(vals[0]) if single else vals
+        return _rowwise(lambda X: _row_max((X @ N.T) / den), x, hs.dim)
 
     def m_map(X):
         return phi(X)[:, None] * yv

@@ -288,7 +288,11 @@ def test_row_norm_matches_numpy(rows):
             for X in (np.ascontiguousarray(C[:, :-1]), C[:, :-1], C[:, 1:],
                       np.stack([C[:, :-1], -C[:, 1:], 2.0 * C[:, :-1]])):
                 with np.errstate(over="ignore"):  # (1e300)^2 is inf in both
-                    _same_bits(_row_norm(X), np.linalg.norm(X, axis=-1))
+                    norms = _row_norm(X)
+                    _same_bits(norms, np.linalg.norm(X, axis=-1))
+                    # A row's norm does not depend on the rest of its batch.
+                    alone = [_row_norm(X[i][None, :])[0] for i in np.ndindex(X.shape[:-1])]
+                    _same_bits(norms.ravel(), np.array(alone, dtype=float))
 
 
 def test_joint_row_exponents_match_hstack():

@@ -317,6 +317,46 @@ def test_projector_cap_names_the_extreme_rays():
         moreau_pair(cone)
 
 
+_BASIS3 = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
+_CONES3 = {
+    "orthant": Orthant(3),
+    "simplicial": Simplicial(_BASIS3),
+    "lorentz": Lorentz(3),
+    "generators": PolyhedralGenerators([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                        [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]),
+    "halfspaces": PolyhedralHalfspaces([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                        [0.0, 0.0, 1.0], [1.0, -1.0, 1.0]]),
+}
+_PAIRS3 = {
+    "lattice": lattice_pair(Simplicial(_BASIS3)),
+    "moreau": moreau_pair(Lorentz(3)),
+    "minkowski": minkowski_pair(Orthant(3), [1.0, 2.0, 3.0]),
+}
+# Every public function that takes a vector or a batch, with the type it
+# gives a vector: one value per row comes back as a float, a row as a vector.
+_ROWWISE = (
+    [(f"{k}-membership", c.membership_residual, float) for k, c in _CONES3.items()]
+    + [(f"{k}-projection", lambda x, c=c: project_cone(c, x), np.ndarray)
+       for k, c in _CONES3.items()]
+    + [("simplicial-coordinates", _CONES3["simplicial"].coordinates, np.ndarray)]
+    + [(f"{k}-{side}", getattr(p, side), np.ndarray) for k, p in _PAIRS3.items() for side in "mn"]
+    + [("minkowski-phi", _PAIRS3["minkowski"].phi, float)])
+
+
+@pytest.mark.parametrize("f, kind", [(f, kind) for _, f, kind in _ROWWISE],
+                         ids=[name for name, _, _ in _ROWWISE])
+def test_vector_gets_row_zero_of_its_batch(f, kind):
+    x = rng_for(0, "rowwise").standard_normal(3)
+    one, batch = f(x), f(x[None, :])
+    assert type(one) is kind and np.shape(batch) == (1,) + np.shape(one)
+    assert np.asarray(one).tobytes() == batch[0].tobytes()
+    nan = x.copy()
+    nan[1] = np.nan
+    for bad in (x[:2], x[:2][None, :], nan, nan[None, :], x[None, None, :]):
+        with pytest.raises(ValueError):
+            f(bad)
+
+
 def test_minkowski_examples():
     pair = minkowski_pair(Orthant(2), [1.0, 1.0])
     np.testing.assert_allclose(pair.m([3.0, -1.0]), [3.0, 3.0])
