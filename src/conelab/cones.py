@@ -179,8 +179,17 @@ def _relative(violation, *arrays, size=None):
 
 # From this many rows on, a fold over the columns is cheaper than numpy's
 # reduction, which is set up once per row; below, the reduction is (measured
-# for 1 to 8 columns).
-_FOLD_ROWS = 64
+# for 1 to 8 columns), and it keeps each row's bits (see oracle._FOLD_ROWS).
+_FOLD_ROWS = oracle._FOLD_ROWS
+
+
+def _dot(X, A):
+    """``X @ A`` for a batch ``X``.  A batch of 2 to ``_FOLD_ROWS - 1`` rows
+    takes one matrix-vector product per row, so each row gets the bits of
+    its own 1-row batch; one row, or ``_FOLD_ROWS`` or more, one product."""
+    if 1 < len(X) < _FOLD_ROWS:
+        return np.matmul(X[:, None, :], A)[:, 0]
+    return X @ A
 
 
 def _row_fold(f, C):
@@ -300,7 +309,7 @@ def _ray_projector(A, d):
     goes through face enumeration on a ``FaceTable`` of its columns.
     """
     if d is not None:
-        return lambda X: np.maximum((X @ A) / d, 0.0) @ A.T
+        return lambda X: _dot(np.maximum(_dot(X, A) / d, 0.0), A.T)
     if A.shape[1] > oracle.MAX_GENERATORS:
         raise ValueError(f"cone has {A.shape[1]} extreme rays, but the face-table "
                          f"projector takes at most {oracle.MAX_GENERATORS}")
@@ -359,10 +368,10 @@ class Simplicial(ConeSpec):
 
     def coordinates(self, x):
         """Basis coordinates c with x = basis @ c."""
-        return _rowwise(lambda X: X @ self.basis_inv.T, x, self.dim)
+        return _rowwise(lambda X: _dot(X, self.basis_inv.T), x, self.dim)
 
     def membership_residual(self, x):
-        return self._residual(lambda X: np.maximum(0.0, -_row_min(X @ self.basis_inv.T)), x)
+        return self._residual(lambda X: np.maximum(0.0, -_row_min(_dot(X, self.basis_inv.T))), x)
 
 
 class Orthant(Simplicial):
@@ -515,7 +524,7 @@ class PolyhedralHalfspaces(ConeSpec):
 
     def membership_residual(self, x):
         unit = oracle._unit_rows(self.normals)
-        return self._residual(lambda X: _row_max(np.maximum(0.0, -(X @ unit.T))), x)
+        return self._residual(lambda X: _row_max(np.maximum(0.0, -_dot(X, unit.T))), x)
 
 
 def contains(cone, x, tol=DEFAULT_TOL):

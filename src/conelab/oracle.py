@@ -24,6 +24,11 @@ MAX_DD_HALFSPACES = 12
 _RANK_RTOL = 1e-12
 # Feasibility slack of a candidate ray against the row-normalized normals.
 _FEAS_TOL = 1e-9
+# A batch of fewer rows than this gives every row the bits of its own 1-row
+# batch: its products are one matrix-vector product per row, as a single
+# point's are, and its sums and extremes are taken row by row.  From this
+# many rows on, one matrix product and folds over the columns are cheaper.
+_FOLD_ROWS = 64
 
 
 def _as_generator_matrix(generators, max_rows=MAX_GENERATORS):
@@ -145,7 +150,9 @@ class FaceTable:
         ``points`` has shape (n, dim); winners index into ``self.subsets``.
         Each row is projected scaled by a power of two to a largest entry in
         [0.5, 1) and scaled back: exact, since the projection is positively
-        homogeneous, and free of overflow in the squared distances.
+        homogeneous, and free of overflow in the squared distances.  A batch
+        of fewer than ``_FOLD_ROWS`` points gives each point the projection
+        it gets alone, bit for bit.
         """
         X = np.atleast_2d(np.asarray(points, dtype=float))
         n = X.shape[0]
@@ -165,22 +172,27 @@ class FaceTable:
         return np.ldexp(best_p, e), best_sub
 
     def _project_chunk(self, X, best_p, best_d2, best_sub):
-        XT = X.T
         n = X.shape[0]
         rows = np.arange(n)
         offset = 1
+        small = n < _FOLD_ROWS
         for W, GS in self._groups:
-            C = W @ XT                              # (n_s, size, n)
+            if small:  # one matrix-vector product per (subset, point)
+                C = np.matmul(W[:, None], X[:, :, None])  # (n_s, n, size, 1)
+                P = np.matmul(GS[:, None], C)[..., 0].transpose(0, 2, 1)
+                C = C[..., 0].transpose(0, 2, 1)
+            else:
+                C = W @ X.T                         # (n_s, size, n)
+                P = GS @ C                          # (n_s, m, n)
             cmin, cmax = C.min(axis=1), C.max(axis=1)
             feasible = cmin >= -1e-12 * (1.0 + np.maximum(cmax, -cmin))
-            P = GS @ C                              # (n_s, m, n)
             s_idx, n_idx = np.nonzero(feasible)
             R = X[n_idx] - P[s_idx, :, n_idx]      # x - p at the feasible pairs only
-            # Squared distances round as one einsum over the whole chunk rounds
-            # them: numpy's vectorised reduction for a single point, a sum in
-            # coordinate order for several.  The winners depend on these bits.
+            # Squared distances of fewer than _FOLD_ROWS points: numpy's
+            # vectorised reduction, row by row; of more, a sum in coordinate
+            # order.  The winners depend on these bits.
             d2 = np.full(feasible.shape, np.inf)
-            d2[s_idx, n_idx] = (np.einsum("ij,ij->i", R, R) if n == 1
+            d2[s_idx, n_idx] = (np.einsum("ij,ij->i", R, R) if small
                                 else (R * R).cumsum(axis=1)[:, -1])
             gi = d2.argmin(axis=0)
             gd = d2[gi, rows]

@@ -12,7 +12,10 @@ stream of its catalogue key, evaluates residuals, and returns a
 
 Each residual is defined once, as a function of row batches that returns
 one value per row: a checker evaluates it on all samples, and witness
-shrinking and replay evaluate the same function on witness rows.
+shrinking and replay evaluate the same function on witness rows.  A batch
+of fewer than 64 rows (``cones._FOLD_ROWS``) gives every row the bits of
+its own 1-row batch, so the residuals that shrinking takes from its two
+small batches are the ones a replay of each witness gives.
 
 Failures carry replayable witnesses: the original sample, plus the same
 sample scaled to just above its smallest failing scale, which the positive
@@ -102,9 +105,10 @@ def _shrink(residual, arrays, threshold):
     t* (1 + 1e-7).  A row that does not confirm (a residual not of that
     form, or t* (1 + 1e-7) >= 1) is reported unshrunk, at scale 1.
 
-    Returns the scaled rows and the residual of each, evaluated on its own
-    1-row batch as a replay of that witness does: a k-row matmul can round
-    differently in the last digit from a 1-row one.
+    Returns the residual of each row at scale 1, the scaled rows and the
+    residual of each scaled row.  Both batches hold at most twice
+    ``_WITNESS_CAP`` rows, fewer than ``cones._FOLD_ROWS``, so each residual
+    has the bits of its row's own 1-row batch, which a replay evaluates.
     """
     k = arrays[0].shape[0]
     r = residual(*_two_scales(arrays, np.ones(k), np.full(k, 0.5)))
@@ -113,14 +117,14 @@ def _shrink(residual, arrays, threshold):
         t = (inv_half - inv_one) / (1.0 / threshold - (2.0 * inv_one - inv_half))
         up, down = t * (1.0 + _CONFIRM_REL), t * (1.0 - _CONFIRM_REL)
         fitted = np.flatnonzero(np.isfinite(t) & (t > 0.0) & (up < 1.0))
-    scale = np.ones(k)
+    scale, shrunk = np.ones(k), r[:k].copy()
     if fitted.size:
         rc = residual(*_two_scales([a[fitted] for a in arrays], up[fitted], down[fitted]))
         n = fitted.size
-        confirmed = fitted[(rc[:n] > threshold) & (rc[n:] <= threshold)]
-        scale[confirmed] = up[confirmed]
-    scaled = _scaled(arrays, scale)
-    return scaled, [float(residual(*(a[i:i + 1] for a in scaled))[0]) for i in range(k)]
+        confirmed = (rc[:n] > threshold) & (rc[n:] <= threshold)
+        rows = fitted[confirmed]
+        scale[rows], shrunk[rows] = up[rows], rc[:n][confirmed]
+    return r[:k], _scaled(arrays, scale), shrunk
 
 
 class _Check:
@@ -136,7 +140,7 @@ class _Check:
         self.any_band = False
         self.any_bad = False
         # (check label, residual function, shrink threshold, input names,
-        #  failing rows of each input, their residuals)
+        #  failing rows of each input)
         self.failures = []
 
     def add(self, check, residual, inputs, status, res, threshold):
@@ -151,8 +155,7 @@ class _Check:
             return
         self.any_bad = True
         self.failures.append((check, residual, threshold, list(inputs),
-                              [np.asarray(a, dtype=float)[bad] for a in inputs.values()],
-                              np.asarray(res, dtype=float)[bad]))
+                              [np.asarray(a, dtype=float)[bad] for a in inputs.values()]))
 
     def norm(self, check, residual, inputs, eps=None):
         """A norm identity: a sample fails when its residual exceeds eps
@@ -174,7 +177,7 @@ class _Check:
         each with its shrunk variant."""
         if not self.failures:
             return []
-        inputs = [rows for *_, rows, _ in self.failures]
+        inputs = [rows for *_, rows in self.failures]
         sizes = [rows[0].shape[0] for rows in inputs]
         owner = np.repeat(np.arange(len(sizes)), sizes)
         local = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -194,18 +197,18 @@ class _Check:
 
         chosen = sorted(near, key=key)[:_WITNESS_CAP]
         witnesses = {}
-        for f, (check, residual, threshold, names, rows, res) in enumerate(self.failures):
+        for f, (check, residual, threshold, names, rows) in enumerate(self.failures):
             mine = [i for i in chosen if owner[i] == f]
             if not mine:
                 continue
             picked = [a[local[mine]] for a in rows]
-            shrunk, shrunk_res = _shrink(residual, picked, threshold)
+            res, shrunk, shrunk_res = _shrink(residual, picked, threshold)
             for j, i in enumerate(mine):
                 w = {name: a[j].tolist() for name, a in zip(names, picked)}
-                w["residual"] = float(res[local[i]])
+                w["residual"] = float(res[j])
                 w["check"] = check
                 w["shrunk"] = {name: a[j].tolist() for name, a in zip(names, shrunk)}
-                w["shrunk"]["residual"] = shrunk_res[j]
+                w["shrunk"]["residual"] = float(shrunk_res[j])
                 witnesses[i] = w
         return [witnesses[i] for i in chosen]
 
@@ -283,16 +286,20 @@ def sup_m(pair, X, Y):
 
 def _sup_commutes(pair, S):
     """m(sup S) = sup m(S) for each set S of an (n, k, dim) stack, both
-    suprema folded with :func:`sup_m`; relative to 1 + max_{s in S} |s|."""
+    suprema folded with :func:`sup_m`; relative to 1 + max_{s in S} |s|.
+    Every call of m takes n rows, one member or one partial supremum of each
+    set, so a batch of fewer than ``cones._FOLD_ROWS`` sets keeps its rows'
+    bits."""
     n, k, dim = S.shape
 
     def violation(F):
         U = F.reshape(S.shape)
-        T = np.concatenate([U, pair.m(F.reshape(n * k, dim)).reshape(S.shape)])
-        sup = T[:, 0]
+        images = [pair.m(U[:, j]) for j in range(k)]
+        sup, sup_images = U[:, 0], images[0]
         for j in range(1, k):
-            sup = sup_m(pair, sup, T[:, j])
-        return _row_norm(pair.m(sup[:n]) - sup[n:])
+            sup = sup_m(pair, sup, U[:, j])
+            sup_images = sup_m(pair, sup_images, images[j])
+        return _row_norm(pair.m(sup) - sup_images)
 
     return _relative(violation, S.reshape(n, k * dim),
                      size=lambda F: _row_max(_row_norm(F.reshape(S.shape))))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import (DEFAULT_TOL, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                    _row_max, _rowwise, as_vector, cone_from_json, cone_to_json, negate,
+                    _dot, _row_max, _rowwise, as_vector, cone_from_json, cone_to_json, negate,
                     polar, to_halfspaces)
 
 
@@ -78,10 +78,10 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
     A, invA = cone.basis, cone.basis_inv
 
     def m_map(X):
-        return np.maximum(X @ invA.T, 0.0) @ A.T
+        return _dot(np.maximum(_dot(X, invA.T), 0.0), A.T)
 
     def n_map(X):
-        return -(np.maximum(-(X @ invA.T), 0.0) @ A.T)
+        return -_dot(np.maximum(-_dot(X, invA.T), 0.0), A.T)
 
     return RetractionPair("lattice", cone, negate(cone), m_map, n_map, tol=tol,
                           descriptor={"family": "lattice", "cone": cone_to_json(cone)})
@@ -115,7 +115,7 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
         raise ValueError("anchor must be strictly interior to the cone")
 
     def phi(x):
-        return _rowwise(lambda X: _row_max((X @ N.T) / den), x, hs.dim)
+        return _rowwise(lambda X: _row_max(_dot(X, N.T) / den), x, hs.dim)
 
     def m_map(X):
         return phi(X)[:, None] * yv

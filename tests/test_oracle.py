@@ -5,7 +5,7 @@ import pytest
 
 from conelab import (Lorentz, Orthant, brute_force_project, conic_feasibility,
                      double_description, lorentz_reference_project, project_cone)
-from conelab.oracle import FaceTable, _unit_rows
+from conelab.oracle import _FOLD_ROWS, FaceTable, _unit_rows
 from conelab.sampling import gaussian_points, rng_for
 
 WEDGE = np.array([[1.0, 0.0], [1.0, 1.0]])  # generators of an acute planar cone
@@ -207,8 +207,12 @@ def _reference_project(groups, dim, X):
     best_sub = np.zeros(n, dtype=int)
     max_rows = max((w.shape[0] * w.shape[1] for w, _ in groups), default=1)
     chunk = max(64, int(4e6 / max(1, max_rows * dim)))
+    spans = []
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
+        # A chunk of fewer than _FOLD_ROWS points is projected point by point.
+        spans += [(lo, hi)] if hi - lo >= _FOLD_ROWS else [(i, i + 1) for i in range(lo, hi)]
+    for lo, hi in spans:
         XT, rows, offset = X[lo:hi].T, np.arange(hi - lo), 1
         for W, GS in groups:
             C = W @ XT
@@ -267,7 +271,7 @@ def test_face_table_matches_per_subset_reference(k, m):
     inside = rng.uniform(0.0, 1.0, (40, k)) @ G  # points already in the cone
     X = np.vstack([gaussian_points(rng, 300, m), inside])
     chunk = max(64, int(4e6 / max(w.shape[0] * w.shape[1] for w, _ in groups) / m))
-    batches = [X[:1], inside[:1], X[:2], X[:65], X, np.ldexp(X, 600), np.ldexp(X, -600),
+    batches = [X[:1], inside[:1], X[:2], X[:63], X[:65], X, np.ldexp(X, 600), np.ldexp(X, -600),
                np.ldexp(X * rng.uniform(0.5, 2.0, (len(X), 1)), -600)]
     if chunk < 3 * len(X):
         batches.append(np.resize(X, (chunk + 1, m)))  # a last chunk of one point

@@ -1,12 +1,15 @@
+import json
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conelab import (Lorentz, Orthant, PolyhedralGenerators, RetractionPair, Simplicial,
-                     lattice_pair, minkowski_pair, moreau_pair, sample_simplicial)
-from conelab import properties, sampling, suprema
-from conelab.cones import ToleranceConfig
+from conelab import (Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
+                     RetractionPair, Simplicial, lattice_pair, minkowski_pair, moreau_pair,
+                     pair_from_json, sample_simplicial)
+from conelab import cli, properties, sampling, suprema
+from conelab.cones import _FOLD_ROWS, ToleranceConfig
 from conelab.properties import (CATALOGUE, _Check, catalogue_for, check_idempotence,
                                 check_isotone, check_mutual_polarity,
                                 check_range_kernel, check_range_negation,
@@ -305,32 +308,112 @@ def test_shrunk_witness_is_smallest_failing_scale(cone):
     assert shrunk >= 40
 
 
+def _catalogue_residuals(pair, n_samples):
+    """Every residual the catalogue evaluates on ``pair``, with the names and
+    sample rows of its inputs, keyed by (property, check label)."""
+    found, add = {}, _Check.add
+
+    def record(chk, check, residual, inputs, *rest):
+        found[chk.property_id, check] = residual, inputs
+        return add(chk, check, residual, inputs, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Check, "add", record)
+        run_catalogue(pair, n_samples, seed=0)
+    return found
+
+
+def _row_stable_residuals(pair):
+    """Assert that each row of a batch of 2 to _FOLD_ROWS - 1 rows gets the
+    bits of its own 1-row batch in every catalogue residual of ``pair``;
+    returns the 1-row residuals of each, keyed by (property, check label)."""
+    singles = {}
+    # 8 * _FOLD_ROWS samples give every check, the sets of 8 included, enough rows.
+    for key, (residual, inputs) in _catalogue_residuals(pair, 8 * _FOLD_ROWS).items():
+        arrays = list(inputs.values())
+        one = np.array([residual(*(a[i:i + 1] for a in arrays))[0]
+                        for i in range(_FOLD_ROWS - 1)])
+        for k in (2, 8, 16, _FOLD_ROWS - 1):
+            assert np.array_equal(residual(*(a[:k] for a in arrays)), one[:k]), (key, k)
+        singles[key] = one
+    return singles
+
+
 @pytest.mark.parametrize("dim", range(3, 9))
 def test_lorentz_residuals_are_row_stable(dim):
-    # Each row of a k-row batch gets the bits of its own 1-row evaluation in
-    # the residuals of the five checks that fail on a Moreau Lorentz pair.
-    # Row norms and the closed form are row by row; matrix products, which a
-    # polyhedral pair runs, are not (ROADMAP item 5).
+    # The five checks that fail on a Moreau Lorentz pair fail on some of the rows.
     pair = moreau_pair(Lorentz(dim))
-    residuals = {
-        "subadditive-m": (properties._subadditivity(pair.m, pair.subadd_cone_m), None),
-        "subadditive-n": (properties._subadditivity(pair.n, pair.cone_n), None),
-        "isotone-m": (properties._isotonicity(pair.m, pair.cone_m), pair.cone_m),
-        "isotone-n": (properties._isotonicity(pair.n, pair.cone_n), pair.cone_n),
-        "subadditivity-defects": (properties._subadditivity(pair.m, pair.subadd_cone_m), None),
-    }
-    rng = sampling.rng_for(dim, "row-stable")
-    failing = dict.fromkeys(residuals, 0)
-    for k in (2, 8, 16, 64, 1000):
-        for name, (residual, order) in residuals.items():
-            X = sampling.gaussian_points(rng, k, dim)
-            Y = (sampling.gaussian_points(rng, k, dim) if order is None
-                 else X + sampling.cone_members(order, rng, k))
-            batch = residual(X, Y)
-            failing[name] += int((batch > 10.0 * pair.tol.eps_membership).sum())
-            for i in range(k):
-                assert batch[i] == residual(X[i:i + 1], Y[i:i + 1])[0], (name, k, i)
-    assert min(failing.values()) > 0, failing
+    singles = _row_stable_residuals(pair)
+    failing = [("subadditive-m", "defect-membership"), ("subadditive-n", "defect-membership"),
+               ("isotone-m", "image-order"), ("isotone-n", "image-order"),
+               ("subadditivity-defects", "defect-in-range")]
+    assert all((singles[key] > 10.0 * pair.tol.eps_membership).any() for key in failing)
+
+
+# Products of 2 or 3 columns round alike in one matrix product and row by
+# row here, so the cones whose maps multiply have 4 or more dimensions.
+_SIMPLICIAL_5 = sample_simplicial(5, 3)
+_ROTATION = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+_ROW_STABLE_PAIRS = {
+    "lattice-simplicial": lattice_pair(_SIMPLICIAL_5),
+    "moreau-skew": moreau_pair(SKEW),  # both maps through FaceTable
+    "moreau-pentagon": moreau_pair(PENTAGON),
+    # A rotated orthant with a redundant normal: the lattice clamp projects.
+    "moreau-halfspaces": moreau_pair(PolyhedralHalfspaces(
+        np.vstack([_ROTATION, [1.0, 1.0, 0.5, 2.0] @ _ROTATION]))),
+    "minkowski": minkowski_pair(_SIMPLICIAL_5, _SIMPLICIAL_5.basis.sum(axis=1)),
+}
+
+
+@pytest.mark.parametrize("name", _ROW_STABLE_PAIRS)
+def test_residuals_are_row_stable(name):
+    # The lattice catalogue includes both uses of _sup_commutes.  Most
+    # residuals are nonzero on some row, so their bits are compared.
+    singles = _row_stable_residuals(_ROW_STABLE_PAIRS[name])
+    assert 2 * sum(one.any() for one in singles.values()) > len(singles)
+
+
+def _golden_property_reports(report):
+    """(pair descriptor, property id, property report) for every property
+    report of a golden ``verify``, ``batch`` or ``demo`` report."""
+    body = report.get("report", report)
+    if report.get("name") == "moreau-subadd":
+        cones = {label: cone for label, cone, _ in cli._MOREAU_SUBADD_CONES}
+        return [({"family": "moreau", "cone": cones[row["cone"]]}, "subadditive-m", row)
+                for row in body["table"]]
+    return [(entry["pair"], rep["property"], rep) for entry in body.get("entries", [body])
+            for rep in entry.get("reports", entry.get("checks", []))]
+
+
+_GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", [p for p in _GOLDEN if '"shrunk"' in p.read_text()],
+                         ids=lambda p: p.name)
+def test_golden_witnesses_replay_on_one_row(path):
+    # Every reported residual, of a witness and of its shrunk variant, is
+    # what the check's residual gives the witness alone.
+    report = json.loads(path.read_text())
+    tol = ToleranceConfig.from_json(report["tolerances"])
+    replayed = 0
+    for descriptor, prop, rep in _golden_property_reports(report):
+        residuals = _catalogue_residuals(pair_from_json(descriptor, tol=tol), 8)
+        for w in rep["witnesses"]:
+            residual, inputs = residuals[prop, w["check"]]
+            for rows in (w, w["shrunk"]):
+                assert residual(*(np.array([rows[name]]) for name in inputs))[0] == \
+                    rows["residual"], (prop, w["check"])
+                replayed += 1
+    assert replayed > 0
+
+
+def test_lattice_maps_are_one_product_from_fold_rows():
+    pair = lattice_pair(_SIMPLICIAL_5)
+    A, inv = _SIMPLICIAL_5.basis, _SIMPLICIAL_5.basis_inv
+    for k in (_FOLD_ROWS, 1000):
+        X = sampling.gaussian_points(sampling.rng_for(k, "one-product"), k, 5)
+        assert np.array_equal(pair.m(X), np.maximum(X @ inv.T, 0.0) @ A.T)
+        assert np.array_equal(pair.n(X), -(np.maximum(-(X @ inv.T), 0.0) @ A.T))
 
 
 @pytest.mark.parametrize("residual", [
