@@ -7,11 +7,9 @@ witness reports, and the iterative pairwise-supremum construction with its
 closed-form lattice oracle.
 """
 
-from .cones import (DEFAULT_TOL, Lorentz, Orthant, PolyhedralGenerators,
+from .cones import (DEFAULT_TOL, ConeSpec, Lorentz, Orthant, PolyhedralGenerators,
                     PolyhedralHalfspaces, Simplicial, ToleranceConfig, as_vector,
-                    cone_from_json, cone_to_json, contains, generators_of,
-                    is_generating, is_pointed, leq, negate, polar,
-                    sample_simplicial, to_halfspaces)
+                    cone_from_json, contains, leq, sample_simplicial)
 from .oracle import (FaceTable, ProjectionCertificate, brute_force_project,
                      conic_feasibility, double_description,
                      lorentz_reference_project)

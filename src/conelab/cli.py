@@ -19,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import properties
-from .cones import (ToleranceConfig, _as_int, _relative, as_vector, cone_from_json,
-                    is_generating)
+from .cones import ToleranceConfig, _as_int, _relative, as_vector, cone_from_json
 from .properties import PASS, catalogue_for, run_catalogue
 from .retractions import moreau_pair, pair_from_json
 from .sampling import gaussian_points, rng_for
@@ -146,7 +145,7 @@ def _demo_minkowski(samples, seed, tol, descriptor):
     pair = pair_from_json(descriptor, tol=tol)
     reports = [properties.check_mutual_polarity(pair, samples, seed),
                properties.check_subadditive(pair, "m", samples, seed)]
-    generating = is_generating(pair.cone_m)
+    generating = pair.cone_m.is_generating()
 
     # Empirical shape of the n-range: defect coefficients of the order-unit
     # functional, and convexity probes of {x : phi(x) = 0}.

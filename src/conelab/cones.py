@@ -262,20 +262,19 @@ def _with_rays(cone, rays):
 
 
 class ConeSpec:
-    """Base class for exact cone representations."""
+    """Base class for exact cone representations.
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
+    A cone class provides ``dim``, ``membership_residual``, ``_projector``
+    (the metric projector of an (n, dim) batch), ``members``, ``polar``
+    ({y : <x, y> <= 0 for all x in K}), ``negative`` (-K), ``is_generating``
+    (K - K spans R^m), ``is_pointed`` (K holds no line) and ``to_json``.  The
+    defaults here: ``generators`` and ``halfspaces`` raise ``ValueError``, and
+    ``_projector``, ``members`` and ``is_generating`` read ``generators``.
 
-    def membership_residual(self, x):
-        """Relative violation of membership; 0 for interior points.
-
-        Accepts a vector or an (n, dim) batch and returns a float or an
-        (n,) array.  A point belongs to the cone at tolerance eps iff the
-        residual is <= eps.
-        """
-        raise NotImplementedError
+    ``membership_residual`` is the relative violation of membership, 0 for
+    interior points, of a vector (a float) or an (n, dim) batch (an (n,)
+    array); a point belongs to the cone at tolerance eps iff it is <= eps.
+    """
 
     def _residual(self, violation, x):
         """:func:`_relative` of ``violation`` on ``x``, a vector or a batch."""
@@ -283,10 +282,42 @@ class ConeSpec:
 
     @functools.cached_property
     def _projector(self):
-        """The metric projector of :func:`_ray_projector` on this cone's rays
-        (a simplicial cone's basis, else :func:`generators_of`), built once."""
-        A = self.basis if isinstance(self, Simplicial) else generators_of(self).T
+        """The metric projector of :func:`_ray_projector` on the rows of
+        :meth:`generators`, built once."""
+        A = self.generators().T
         return _ray_projector(A, _orthogonal(A))
+
+    def members(self, rng, n):
+        """``n`` random members of the cone with O(1) norms, drawn from
+        ``rng``: nonnegative combinations of the rows of :meth:`generators`,
+        one coefficient per row.  For a generator or halfspace cone those
+        rows are its canonical ray matrix of unit rays, so the draws do not
+        depend on the order or lengths of the listed vectors, or on
+        redundant generators."""
+        G = self.generators()
+        coeff = np.abs(rng.standard_normal((n, G.shape[0]))) / G.shape[0]
+        return coeff @ G
+
+    def is_generating(self):
+        return _rank(self.generators()) == self.dim
+
+    def generators(self):
+        """Generator rows for a polyhedral cone, as a new array: the basis
+        columns of a simplicial cone, else the cone's canonical ray matrix.
+
+        The ray matrix holds the extreme rays only, as unit vectors, without
+        near-parallel duplicates, in lexicographic order; a halfspace cone's
+        lineality pairs follow its rays.  So it does not depend on how the cone
+        was listed, and a cone's generator and halfspace forms give the same
+        matrix up to rounding.  A generator cone that holds a line, or whose
+        dimension exceeds ``oracle.MAX_DD_DIM``, keeps its listed generators.
+        Raises for the cone {0}, which has no generator.
+        """
+        raise ValueError("cone is not polyhedral")
+
+    def halfspaces(self):
+        """The cone as a :class:`PolyhedralHalfspaces`, exactly."""
+        raise ValueError("cone not representable in halfspace form")
 
 
 def _orthogonal(A):
@@ -341,8 +372,18 @@ def _lorentz_branches(X):
     return P
 
 
+class _ProperCone(ConeSpec):
+    """A cone that is pointed and generating by construction."""
+
+    def is_generating(self):
+        return True
+
+    def is_pointed(self, tol=DEFAULT_TOL):
+        return True
+
+
 @dataclass(frozen=True, eq=False)
-class Simplicial(ConeSpec):
+class Simplicial(_ProperCone):
     """Cone generated by the columns of an invertible basis matrix."""
 
     basis: np.ndarray
@@ -373,6 +414,35 @@ class Simplicial(ConeSpec):
     def membership_residual(self, x):
         return self._residual(lambda X: np.maximum(0.0, -_row_min(_dot(X, self.basis_inv.T))), x)
 
+    @functools.cached_property
+    def _projector(self):
+        # The basis itself: its F-ordered copy generators().T can round differently.
+        return _ray_projector(self.basis, _orthogonal(self.basis))
+
+    def members(self, rng, n):
+        coeff = np.abs(rng.standard_normal((n, self.dim))) / np.sqrt(self.dim)
+        return coeff @ self.basis.T
+
+    def negative(self):
+        # -B is invertible with inverse -B^-1, so skip the SVD and the inverse.
+        neg = object.__new__(Simplicial)
+        object.__setattr__(neg, "basis", _readonly(-self.basis))
+        object.__setattr__(neg, "basis_inv", _readonly(-self.basis_inv))
+        return neg
+
+    def polar(self):
+        """The simplicial cone of the negated inverse-transpose basis."""
+        return Simplicial(-self.basis_inv.T)
+
+    def halfspaces(self):
+        return PolyhedralHalfspaces(self.basis_inv)
+
+    def generators(self):
+        return self.basis.T.copy()
+
+    def to_json(self):
+        return {"type": "simplicial", "basis": self.basis.T.tolist()}
+
 
 class Orthant(Simplicial):
     """Nonnegative orthant of R^m: the simplicial cone of the identity basis."""
@@ -387,9 +457,12 @@ class Orthant(Simplicial):
         # The coordinates are x itself, so clamp without the basis product.
         return self._residual(lambda X: np.maximum(0.0, -_row_min(X)), x)
 
+    def to_json(self):
+        return {"type": "orthant", "dim": self.dim}
+
 
 @dataclass(frozen=True, eq=False)
-class Lorentz(ConeSpec):
+class Lorentz(_ProperCone):
     """Second-order cone {(xbar, t) : |xbar| <= t}, optionally negated."""
 
     ambient_dim: int
@@ -416,6 +489,26 @@ class Lorentz(ConeSpec):
         return self._residual(lambda X: np.maximum(0.0, _row_norm(X[:, :-1])
                                                    - sign * X[:, -1]), x)
 
+    def members(self, rng, n):
+        m = self.dim
+        bar = rng.standard_normal((n, m - 1))
+        radius = _row_norm(bar)
+        t = radius * (1.0 + np.abs(rng.standard_normal(n)))
+        pts = np.concatenate([bar, t[:, None]], axis=1) / np.sqrt(m)
+        return -pts if self.negated else pts
+
+    def negative(self):
+        return Lorentz(self.dim, negated=not self.negated)
+
+    # The Lorentz cone is self-dual: its polar is -K.
+    polar = negative
+
+    def to_json(self):
+        out = {"type": "lorentz", "dim": self.dim}
+        if self.negated:
+            out["negated"] = True
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralGenerators(ConeSpec):
@@ -431,13 +524,13 @@ class PolyhedralGenerators(ConeSpec):
     def dim(self):
         return self.vectors.shape[1]
 
-    def _rays(self):
-        """The canonical ray matrix of :func:`generators_of`; read-only."""
-        return self._derived[0]
-
-    def _polar(self):
-        """The polar cone in halfspace form: the one object :func:`polar` returns."""
-        return self._derived[1]
+    def polar(self):
+        """The polar cone in halfspace form, built once with its rays; raises
+        when the generators span the whole space (the polar {0} has no ray)."""
+        pol = self._derived[1]
+        if not len(pol._rays()):
+            raise ValueError("polar cone is {0}: the generators span the whole space")
+        return pol
 
     @functools.cached_property
     def _projector(self):
@@ -455,7 +548,7 @@ class PolyhedralGenerators(ConeSpec):
         which becomes this cone's projector, reproduces it to ``_REPRODUCE_RTOL``.
         The polar's rays and lineality pairs are then recomputed from the kept
         rays alone, so redundant generators change neither matrix; ``dim``
-        orthogonal kept rays E get the exact polar -E of :func:`polar` instead.
+        orthogonal kept rays E get the exact polar -E instead.
         """
         V, m = self.vectors, self.dim
         if m > oracle.MAX_DD_DIM:
@@ -493,6 +586,20 @@ class PolyhedralGenerators(ConeSpec):
     def membership_residual(self, x):
         return self._residual(lambda X: _row_norm(X - self._projector(X)), x)
 
+    def negative(self):
+        return PolyhedralGenerators(-self.vectors)
+
+    def is_pointed(self, tol=DEFAULT_TOL):
+        # K contains a line iff -g lies back in K for some generator g.
+        return not contains(self, -self.generators(), tol).any()
+
+    def generators(self):
+        # Never empty, unlike a halfspace cone's: the listed vectors are nonzero.
+        return self._derived[0].copy()
+
+    def to_json(self):
+        return {"type": "generators", "vectors": self.vectors.tolist()}
+
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralHalfspaces(ConeSpec):
@@ -509,7 +616,7 @@ class PolyhedralHalfspaces(ConeSpec):
         return self.normals.shape[1]
 
     def _rays(self):
-        """Extreme rays in canonical order (see :func:`generators_of`), then
+        """Extreme rays in canonical order (see :meth:`generators`), then
         lineality pairs, by one double description of the canonical normals;
         built once, read-only, and the same for any listing of the normals."""
         r = getattr(self, "_ray_rows", None)
@@ -526,6 +633,39 @@ class PolyhedralHalfspaces(ConeSpec):
         unit = oracle._unit_rows(self.normals)
         return self._residual(lambda X: _row_max(np.maximum(0.0, -_dot(X, unit.T))), x)
 
+    def negative(self):
+        return PolyhedralHalfspaces(-self.normals)
+
+    def polar(self):
+        """The polar cone, exactly: the generators -N of a square invertible
+        normal matrix N, else the halfspaces of the negated rays; the polar
+        of ``dim`` orthogonal rays E has the rays -E, so it enumerates none."""
+        N = self.normals
+        k, m = N.shape
+        if k == m:
+            sv = np.linalg.svd(N, compute_uv=False)
+            if sv[-1] > sv[0] * _SINGULAR_RTOL:
+                return PolyhedralGenerators(-N)
+        E = self.generators()
+        if _orthogonal(E.T) is not None:
+            return _orthogonal_polar(E)
+        return PolyhedralHalfspaces(-E)
+
+    def is_pointed(self, tol=DEFAULT_TOL):
+        return _rank(self.normals) == self.dim
+
+    def halfspaces(self):
+        return self
+
+    def generators(self):
+        R = self._rays()
+        if not len(R):
+            raise ValueError("cone is {0}: no nonzero point meets all its halfspaces")
+        return R.copy()
+
+    def to_json(self):
+        return {"type": "halfspaces", "normals": self.normals.tolist()}
+
 
 def contains(cone, x, tol=DEFAULT_TOL):
     """True iff x lies in the cone within ``tol.eps_membership`` (relative)."""
@@ -537,72 +677,6 @@ def leq(cone, x, y, tol=DEFAULT_TOL):
     xv = as_vector(x, cone.dim)
     yv = as_vector(y, cone.dim)
     return contains(cone, yv - xv, tol)
-
-
-def negate(cone):
-    """The cone -K, exactly, in a closed-form representation."""
-    if isinstance(cone, Simplicial):
-        # -B is invertible with inverse -B^-1, so skip the SVD and the inverse.
-        neg = object.__new__(Simplicial)
-        object.__setattr__(neg, "basis", _readonly(-cone.basis))
-        object.__setattr__(neg, "basis_inv", _readonly(-cone.basis_inv))
-        return neg
-    if isinstance(cone, Lorentz):
-        return Lorentz(cone.dim, negated=not cone.negated)
-    if isinstance(cone, PolyhedralGenerators):
-        return PolyhedralGenerators(-cone.vectors)
-    if isinstance(cone, PolyhedralHalfspaces):
-        return PolyhedralHalfspaces(-cone.normals)
-    raise ValueError(f"unsupported cone: {cone!r}")
-
-
-def polar(cone):
-    """The polar cone {y : <x, y> <= 0 for all x in K}, exactly.
-
-    Simplicial polars (the orthant's among them) use the inverse-transpose
-    basis, Lorentz polars are sign flips, generator form dualizes to the
-    halfspaces of its ray matrix (the one object each cone keeps, rays
-    included), and halfspace form dualizes through ray enumeration unless
-    the normal matrix is square and invertible; the polar of ``dim``
-    orthogonal rays E has the rays -E, so it enumerates none.
-    """
-    if isinstance(cone, Simplicial):
-        return Simplicial(-cone.basis_inv.T)
-    if isinstance(cone, Lorentz):
-        return Lorentz(cone.dim, negated=not cone.negated)
-    if isinstance(cone, PolyhedralGenerators):
-        return cone._polar()
-    if isinstance(cone, PolyhedralHalfspaces):
-        N = cone.normals
-        k, m = N.shape
-        if k == m:
-            sv = np.linalg.svd(N, compute_uv=False)
-            if sv[-1] > sv[0] * _SINGULAR_RTOL:
-                return PolyhedralGenerators(-N)
-        E = generators_of(cone)
-        if _orthogonal(E.T) is not None:
-            return _orthogonal_polar(E)
-        return PolyhedralHalfspaces(-E)
-    raise ValueError(f"unsupported cone: {cone!r}")
-
-
-def is_generating(cone):
-    """True iff K - K spans the whole space (numerical rank test)."""
-    if isinstance(cone, (Simplicial, Lorentz)):
-        return True
-    return _rank(generators_of(cone)) == cone.dim
-
-
-def is_pointed(cone, tol=DEFAULT_TOL):
-    """True iff K contains no line (K meets -K only at the origin)."""
-    if isinstance(cone, (Simplicial, Lorentz)):
-        return True
-    if isinstance(cone, PolyhedralHalfspaces):
-        return _rank(cone.normals) == cone.dim
-    if isinstance(cone, PolyhedralGenerators):
-        # K contains a line iff -g lies back in K for some generator g.
-        return not contains(cone, -generators_of(cone), tol).any()
-    raise ValueError(f"unsupported cone: {cone!r}")
 
 
 def sample_simplicial(dim, rng_seed, cond_cap=100.0):
@@ -618,37 +692,6 @@ def sample_simplicial(dim, rng_seed, cond_cap=100.0):
         if sv[-1] > 0.0 and sv[0] / sv[-1] <= cond_cap:
             return Simplicial(B)
     raise ValueError(f"failed to sample a dim-{dim} basis with condition <= {cond_cap}")
-
-
-def to_halfspaces(cone):
-    """Exact halfspace form for orthant/simplicial cones; identity otherwise."""
-    if isinstance(cone, Simplicial):
-        return PolyhedralHalfspaces(cone.basis_inv)
-    if isinstance(cone, PolyhedralHalfspaces):
-        return cone
-    raise ValueError("cone not representable in halfspace form")
-
-
-def generators_of(cone):
-    """Generator rows for a polyhedral cone: the basis columns of a simplicial
-    cone, else the cone's canonical ray matrix.
-
-    The ray matrix holds the extreme rays only, as unit vectors, without
-    near-parallel duplicates, in lexicographic order; a halfspace cone's
-    lineality pairs follow its rays.  So it does not depend on how the cone
-    was listed, and a cone's generator and halfspace forms give the same
-    matrix up to rounding.  A generator cone that holds a line, or whose
-    dimension exceeds ``oracle.MAX_DD_DIM``, keeps its listed generators.
-    Raises for the cone {0}, which has no generator.
-    """
-    if isinstance(cone, Simplicial):
-        return cone.basis.T.copy()
-    if isinstance(cone, (PolyhedralGenerators, PolyhedralHalfspaces)):
-        R = cone._rays()
-        if not len(R):
-            raise ValueError("cone is {0}: no nonzero point meets all its halfspaces")
-        return R.copy()
-    raise ValueError("cone is not polyhedral")
 
 
 _JSON_KEYS = {
@@ -686,19 +729,3 @@ def cone_from_json(obj):
         return PolyhedralGenerators(_as_rows(obj["vectors"], "generator vectors"))
     return PolyhedralHalfspaces(_as_rows(obj["normals"], "halfspace normals"))
 
-
-def cone_to_json(cone):
-    if isinstance(cone, Orthant):
-        return {"type": "orthant", "dim": cone.dim}
-    if isinstance(cone, Simplicial):
-        return {"type": "simplicial", "basis": cone.basis.T.tolist()}
-    if isinstance(cone, Lorentz):
-        out = {"type": "lorentz", "dim": cone.dim}
-        if cone.negated:
-            out["negated"] = True
-        return out
-    if isinstance(cone, PolyhedralGenerators):
-        return {"type": "generators", "vectors": cone.vectors.tolist()}
-    if isinstance(cone, PolyhedralHalfspaces):
-        return {"type": "halfspaces", "normals": cone.normals.tolist()}
-    raise ValueError(f"unsupported cone: {cone!r}")

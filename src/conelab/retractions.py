@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cones import (DEFAULT_TOL, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                    _dot, _row_max, _rowwise, as_vector, cone_from_json, cone_to_json, negate,
-                    polar, to_halfspaces)
+                    _dot, _row_max, _rowwise, as_vector, cone_from_json)
 
 
 def project_cone(cone, x):
@@ -83,18 +82,16 @@ def lattice_pair(cone, tol=DEFAULT_TOL):
     def n_map(X):
         return -_dot(np.maximum(-_dot(X, invA.T), 0.0), A.T)
 
-    return RetractionPair("lattice", cone, negate(cone), m_map, n_map, tol=tol,
-                          descriptor={"family": "lattice", "cone": cone_to_json(cone)})
+    return RetractionPair("lattice", cone, cone.negative(), m_map, n_map, tol=tol,
+                          descriptor={"family": "lattice", "cone": cone.to_json()})
 
 
 def moreau_pair(cone, tol=DEFAULT_TOL):
     """Projection pair (onto K, onto the polar of K); both maps are metric
     projections computed independently, so m + n = I is a checkable fact."""
-    pol = polar(cone)
-    if isinstance(cone, PolyhedralGenerators) and not len(pol._rays()):
-        raise ValueError("polar cone is {0}: the generators span the whole space")
+    pol = cone.polar()
     return RetractionPair("moreau", cone, pol, cone._projector, pol._projector, tol=tol,
-                          descriptor={"family": "moreau", "cone": cone_to_json(cone)})
+                          descriptor={"family": "moreau", "cone": cone.to_json()})
 
 
 def minkowski_pair(cone, y, tol=DEFAULT_TOL):
@@ -107,7 +104,7 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
     the range of n, and ``subadd_cone_m`` the nonnegative ray of y, the
     pointed order actually used for subadditivity comparisons.
     """
-    hs = to_halfspaces(cone)
+    hs = cone.halfspaces()
     yv = as_vector(y, hs.dim)
     N = hs.normals
     den = N @ yv
@@ -127,7 +124,7 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
     ray = PolyhedralGenerators(np.array([yv]))
     return RetractionPair(
         "minkowski", line, PolyhedralHalfspaces(-N), m_map, n_map, tol=tol,
-        descriptor={"family": "minkowski", "cone": cone_to_json(cone),
+        descriptor={"family": "minkowski", "cone": cone.to_json(),
                     "interior_point": yv.tolist()},
         subadd_cone_m=ray, phi=phi)
 

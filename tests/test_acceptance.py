@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from conelab import (Lorentz, Orthant, Simplicial, brute_force_project,
-                     closed_form_sup, is_generating, iterative_sup, lattice_pair,
+                     closed_form_sup, iterative_sup, lattice_pair,
                      leq, lex_demo, lorentz_reference_project, minkowski_pair,
                      moreau_pair, sample_simplicial)
 from conelab.oracle import FaceTable
@@ -183,7 +183,7 @@ def test_criterion_7_order_unit_pair_shadow():
     rep_pol = check_mutual_polarity(pair, SAMPLES, seed=0)
     rep_sub = check_subadditive(pair, "m", SAMPLES, seed=0)
     ok = rep_pol.verdict == "pass" and rep_sub.verdict == "pass"
-    ok = ok and is_generating(pair.cone_m) is False
+    ok = ok and pair.cone_m.is_generating() is False
     _verdict(7, ok, "order-unit pair on the 3-orthant: polarity and m-subadditivity "
                     "pass, m-range is not generating")
 

@@ -1,14 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import (DEFAULT_TOL, Lorentz, Orthant, PolyhedralGenerators,
+from conelab import (DEFAULT_TOL, ConeSpec, Lorentz, Orthant, PolyhedralGenerators,
                      PolyhedralHalfspaces, Simplicial, ToleranceConfig,
-                     closed_form_sup, cone_from_json, cone_to_json, contains,
-                     generators_of, is_generating, is_pointed, lattice_pair, leq,
-                     moreau_pair, negate, polar, project_cone, sample_simplicial,
-                     to_halfspaces)
+                     closed_form_sup, cone_from_json, contains, lattice_pair, leq,
+                     moreau_pair, project_cone, run_catalogue, sample_simplicial)
 from conelab.cones import (_FOLD_ROWS, _joint_row_exponents, _row_exponents, _row_max,
                            _row_min, _row_norm)
 from conelab.sampling import cone_members, gaussian_points, rng_for
@@ -69,13 +69,13 @@ def test_empty_and_zero_generators_rejected():
 
 
 def test_polar_orthant_is_sign_flip():
-    P = polar(Orthant(2))
+    P = Orthant(2).polar()
     assert contains(P, [-1.0, 0.0]) and contains(P, [0.0, -2.0])
     assert not contains(P, [1.0, 0.0])
 
 
 def test_polar_simplicial_closed_form():
-    P = polar(SIMP)
+    P = SIMP.polar()
     # each polar generator has nonpositive inner product with each generator
     gens = SIMP.basis.T
     for g in P.basis.T:
@@ -83,7 +83,7 @@ def test_polar_simplicial_closed_form():
     # bipolar: membership agrees with the original on sampled points
     rng = rng_for(0, "bipolar")
     X = gaussian_points(rng, 1000, 2)
-    PP = polar(P)
+    PP = P.polar()
     r1 = SIMP.membership_residual(X)
     r2 = PP.membership_residual(X)
     assert np.all((r1 <= 1e-9) == (r2 <= 1e-9))
@@ -91,7 +91,7 @@ def test_polar_simplicial_closed_form():
 
 def test_polar_lorentz_sampled_pairing():
     K = Lorentz(3)
-    P = polar(K)
+    P = K.polar()
     assert isinstance(P, Lorentz) and P.negated
     rng = rng_for(1, "lorentz-polar")
     members = cone_members(K, rng, 500)
@@ -101,18 +101,18 @@ def test_polar_lorentz_sampled_pairing():
 
 def test_polar_generators_and_halfspaces():
     G = PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0]])
-    P = polar(G)
+    P = G.polar()
     assert isinstance(P, PolyhedralHalfspaces)
     assert contains(P, [0.0, -1.0])
     assert not contains(P, [1.0, 0.5])
     # square invertible halfspaces use the sign-flip closed form
     H = PolyhedralHalfspaces(np.eye(2))
-    PH = polar(H)
+    PH = H.polar()
     assert isinstance(PH, PolyhedralGenerators)
     assert contains(PH, [-2.0, -3.0])
     # non-square halfspaces route through ray enumeration
     H2 = PolyhedralHalfspaces([[1.0, 0.0]])
-    PH2 = polar(H2)
+    PH2 = H2.polar()
     assert contains(PH2, [-1.0, 0.0])
     assert not contains(PH2, [-1.0, 0.5])
     assert not contains(PH2, [1.0, 0.0])
@@ -123,7 +123,7 @@ def test_bipolar_membership_agreement_many_cones():
     for cone in (Orthant(3), Lorentz(4), sample_simplicial(3, 5),
                  PolyhedralGenerators([[1.0, 0.0, 0.2], [0.0, 1.0, 0.1], [0.3, 0.3, 1.0]])):
         X = gaussian_points(rng, 300, cone.dim)
-        PP = polar(polar(cone))
+        PP = cone.polar().polar()
         r1 = cone.membership_residual(X) <= 1e-9
         r2 = PP.membership_residual(X) <= 1e-9
         boundary = np.abs(cone.membership_residual(X)) <= 1e-7
@@ -131,28 +131,28 @@ def test_bipolar_membership_agreement_many_cones():
 
 
 def test_is_generating():
-    assert is_generating(Orthant(4))
-    assert is_generating(sample_simplicial(5, 9))
-    assert is_generating(Lorentz(3))
-    assert not is_generating(PolyhedralGenerators([[1.0, 2.0]]))
-    assert is_generating(PolyhedralGenerators([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]))
-    assert not is_generating(PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 0.0]]))
+    assert Orthant(4).is_generating()
+    assert sample_simplicial(5, 9).is_generating()
+    assert Lorentz(3).is_generating()
+    assert not PolyhedralGenerators([[1.0, 2.0]]).is_generating()
+    assert PolyhedralGenerators([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]).is_generating()
+    assert not PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 0.0]]).is_generating()
 
 
 def test_is_pointed():
-    assert is_pointed(Orthant(3))
-    assert is_pointed(Lorentz(3))
-    assert not is_pointed(PolyhedralHalfspaces([[1.0, 0.0]]))  # contains the x2 axis
-    assert is_pointed(PolyhedralHalfspaces(np.eye(2)))
-    assert not is_pointed(PolyhedralGenerators([[1.0, 0.0], [-1.0, 0.0]]))
-    assert is_pointed(PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0]]))
+    assert Orthant(3).is_pointed()
+    assert Lorentz(3).is_pointed()
+    assert not PolyhedralHalfspaces([[1.0, 0.0]]).is_pointed()  # contains the x2 axis
+    assert PolyhedralHalfspaces(np.eye(2)).is_pointed()
+    assert not PolyhedralGenerators([[1.0, 0.0], [-1.0, 0.0]]).is_pointed()
+    assert PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0]]).is_pointed()
 
 
 def test_negate():
-    N = negate(SIMP)
+    N = SIMP.negative()
     assert contains(N, [-2.0, -1.0])
     assert not contains(N, [2.0, 1.0])
-    NL = negate(Lorentz(3))
+    NL = Lorentz(3).negative()
     assert contains(NL, [0.0, 0.0, -1.0])
 
 
@@ -175,7 +175,7 @@ def test_cone_json_round_trip():
     for cone in (Orthant(3), SIMP, Lorentz(4), Lorentz(3, negated=True),
                  PolyhedralGenerators([[1.0, 2.0], [0.5, -0.5]]),
                  PolyhedralHalfspaces([[1.0, 0.0], [0.0, 1.0]])):
-        back = cone_from_json(cone_to_json(cone))
+        back = cone_from_json(cone.to_json())
         assert type(back) is type(cone)
         rng = rng_for(11, "roundtrip")
         X = gaussian_points(rng, 100, cone.dim)
@@ -214,7 +214,7 @@ def test_dimension_caps():
     with pytest.raises(ValueError):
         Simplicial(np.eye(17))
     with pytest.raises(ValueError):
-        polar(PolyhedralHalfspaces(np.random.default_rng(0).standard_normal((3, 11))))
+        PolyhedralHalfspaces(np.random.default_rng(0).standard_normal((3, 11))).polar()
 
 
 def _same_bits(a, b):
@@ -233,10 +233,10 @@ def test_orthant_is_identity_basis_simplicial(d):
     _same_bits(cone_members(orth, rng_for(d, "members"), 64),
                cone_members(simp, rng_for(d, "members"), 64))
     _same_bits(project_cone(orth, X), project_cone(simp, X))
-    _same_bits(polar(orth).basis, polar(simp).basis)
-    _same_bits(negate(orth).basis, negate(simp).basis)
-    _same_bits(to_halfspaces(orth).normals, to_halfspaces(simp).normals)
-    _same_bits(generators_of(orth), generators_of(simp))
+    _same_bits(orth.polar().basis, simp.polar().basis)
+    _same_bits(orth.negative().basis, simp.negative().basis)
+    _same_bits(orth.halfspaces().normals, simp.halfspaces().normals)
+    _same_bits(orth.generators(), simp.generators())
     _same_bits(closed_form_sup(orth, X[0], Y[0]), closed_form_sup(simp, X[0], Y[0]))
     _same_bits(orth.membership_residual(X), simp.membership_residual(X))
     for make in (lattice_pair, moreau_pair):
@@ -246,9 +246,9 @@ def test_orthant_is_identity_basis_simplicial(d):
     # The identity basis reproduces the orthant's own closed forms exactly.
     _same_bits(project_cone(orth, X), np.clip(X, 0.0, None))
     _same_bits(closed_form_sup(orth, X[0], Y[0]), np.maximum(X[0], Y[0]))
-    _same_bits(polar(orth).basis, -np.eye(d))
-    _same_bits(generators_of(orth), np.eye(d))
-    assert cone_to_json(orth) == {"type": "orthant", "dim": d}
+    _same_bits(orth.polar().basis, -np.eye(d))
+    _same_bits(orth.generators(), np.eye(d))
+    assert orth.to_json() == {"type": "orthant", "dim": d}
 
 
 _FOLD_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324])
@@ -329,7 +329,7 @@ def test_negate_reuses_the_factorization():
             B = rng.standard_normal((d, d))
             _same_bits(np.linalg.inv(-B), -np.linalg.inv(B))
     for cone in (Orthant(3), SIMP, sample_simplicial(8, 5)):
-        neg, ref = negate(cone), Simplicial(-cone.basis)
+        neg, ref = cone.negative(), Simplicial(-cone.basis)
         assert type(neg) is Simplicial
         _same_bits(neg.basis, ref.basis)
         _same_bits(neg.basis_inv, ref.basis_inv)
@@ -430,3 +430,96 @@ def test_huge_and_tiny_generators_and_normals(g):
               PolyhedralGenerators([[g, 0.0], [0.0, 1.0]])):
         assert contains(K, [3.0, 2.0])
         assert not contains(K, [-1.0, 2.0]) and not contains(K, [3.0, -1.0])
+
+
+# The Lorentz cone turned by a fixed rotation: a cone class defined outside
+# the package, with only the protocol methods, that no built-in class is.
+_TURN = np.array([[np.cos(0.7), 0.0, -np.sin(0.7)],
+                  [0.0, 1.0, 0.0],
+                  [np.sin(0.7), 0.0, np.cos(0.7)]])
+
+
+class TurnedLorentz(ConeSpec):
+    """Q L for the Lorentz cone L of R^3 (or -L) and the rotation Q = _TURN."""
+
+    dim = 3
+
+    def __init__(self, negated=False):
+        self.upright = Lorentz(3, negated=negated)
+
+    def membership_residual(self, x):
+        return self.upright.membership_residual(np.asarray(x) @ _TURN)
+
+    @property
+    def _projector(self):
+        return lambda X: self.upright._projector(X @ _TURN) @ _TURN.T
+
+    def members(self, rng, n):
+        return self.upright.members(rng, n) @ _TURN.T
+
+    def negative(self):
+        return TurnedLorentz(not self.upright.negated)
+
+    polar = negative  # L is self-dual, and a rotation keeps inner products
+
+    def is_generating(self):
+        return True
+
+    def is_pointed(self, tol=DEFAULT_TOL):
+        return True
+
+    def to_json(self):
+        return {"type": "turned-lorentz", "negated": self.upright.negated}
+
+
+def test_a_cone_class_defined_outside_the_package_runs_the_catalogue():
+    cone = TurnedLorentz()
+    pair = moreau_pair(cone)
+    assert pair.descriptor() == {"family": "moreau", "cone": cone.to_json()}
+    verdicts = {r.property_id: r.verdict for r in run_catalogue(pair, n_samples=200, seed=1)}
+    for key in ("ranges", "polarity", "idempotence", "range-kernel", "range-negation"):
+        assert verdicts[key] == "pass", key
+    # The Lorentz cone of R^3 is not a lattice cone, turned or not, so its
+    # Moreau positive part is not subadditive (the paper's theorem).
+    assert verdicts["subadditive-m"] == "fail"
+
+
+def test_operations_a_class_lacks_raise_value_error():
+    with pytest.raises(ValueError, match="^cone is not polyhedral$"):
+        Lorentz(3).generators()
+    with pytest.raises(ValueError, match="^cone not representable in halfspace form$"):
+        Lorentz(3).halfspaces()
+    with pytest.raises(ValueError, match="^cone not representable in halfspace form$"):
+        PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0]]).halfspaces()
+    with pytest.raises(ValueError, match="^cone is not polyhedral$"):
+        TurnedLorentz().generators()
+    # The polar of generators that span the plane is {0}, which has no ray;
+    # so is a halfspace cone whose normals leave only the origin.
+    with pytest.raises(ValueError, match=re.escape(
+            "polar cone is {0}: the generators span the whole space")):
+        PolyhedralGenerators([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]).polar()
+    with pytest.raises(ValueError, match=re.escape(
+            "cone is {0}: no nonzero point meets all its halfspaces")):
+        PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]).polar()
+
+
+_BUILT_IN = {Orthant: Orthant(3), Simplicial: Simplicial(np.eye(3) + 0.5 * np.eye(3, k=1)),
+             Lorentz: Lorentz(3),
+             PolyhedralGenerators: PolyhedralGenerators([[1.0, 0, 0], [0, 1, 0], [1, 1, 1]]),
+             PolyhedralHalfspaces: PolyhedralHalfspaces([[1.0, 0, 0], [0, 1, 0], [1, 1, 1]])}
+
+
+def test_each_cone_class_keeps_its_own_membership_residual(monkeypatch):
+    # The benchmark's tracer wraps membership_residual in each class's own
+    # namespace (an inherited one is a KeyError there) and counts one span per
+    # call: a residual that called another class's would be counted twice.
+    calls = []
+    for cls in _BUILT_IN:
+        own = vars(cls)["membership_residual"]
+        monkeypatch.setattr(cls, "membership_residual",
+                            lambda self, x, own=own: calls.append(1) or own(self, x))
+    X = gaussian_points(rng_for(3, "own-residual"), 5, 3)
+    for cls, cone in _BUILT_IN.items():
+        calls.clear()
+        cone.membership_residual(X)
+        assert len(calls) == 1, cls.__name__

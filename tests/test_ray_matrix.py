@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import (Orthant, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                     generators_of, moreau_pair, polar, run_catalogue)
+                     moreau_pair, run_catalogue)
 from conelab.cones import _REPRODUCE_RTOL, _canonical_rows
 from conelab.oracle import _unit_rows
 from conelab.sampling import cone_members, gaussian_points, rng_for
@@ -78,7 +78,7 @@ def _relisted(rng, V, combinations=True):
 def _halfspace_form(V):
     """The cone of the generator rows V in halfspace form: its inward normals
     are the negated rays of its polar."""
-    return PolyhedralHalfspaces(-generators_of(polar(PolyhedralGenerators(V))))
+    return PolyhedralHalfspaces(-PolyhedralGenerators(V).polar().generators())
 
 
 def _what_reports_read(cone):
@@ -88,7 +88,7 @@ def _what_reports_read(cone):
     X = gaussian_points(rng_for(5, "maps"), 40, cone.dim)
     X = np.vstack([X, cone_members(pair.cone_m, rng_for(5, "m"), 10),
                    cone_members(pair.cone_n, rng_for(5, "n"), 10)])
-    return [generators_of(pair.cone_m), generators_of(pair.cone_n), pair.m(X), pair.n(X),
+    return [pair.cone_m.generators(), pair.cone_n.generators(), pair.m(X), pair.n(X),
             pair.cone_m.membership_residual(X), pair.cone_n.membership_residual(X)]
 
 
@@ -114,7 +114,7 @@ def test_relisting_a_cone_changes_nothing_a_report_reads(family, seed):
     assert _bitwise_equal(_what_reports_read(H), _what_reports_read(
         PolyhedralHalfspaces(_relisted(rng, H.normals, combinations=False))))
     # Both forms describe one cone: the same rays, so the same draws, up to rounding.
-    assert _same_rays(generators_of(H), generators_of(PolyhedralGenerators(V)))
+    assert _same_rays(H.generators(), PolyhedralGenerators(V).generators())
 
 
 def _reports(cone, seed=1):
@@ -161,9 +161,9 @@ def test_orthogonal_rays_get_the_exact_polar(d):
         V = np.ldexp(V, rng.integers(-8, 9, (len(V), 1)))
         forms = [PolyhedralGenerators(V)] + [PolyhedralHalfspaces(V)] * (redundant > 0)
         for cone in forms:
-            E = generators_of(cone)
+            E = cone.generators()
             assert E.shape == (d, d)
-            assert generators_of(polar(cone)).tobytes() == _canonical_rows(-E).tobytes()
+            assert cone.polar().generators().tobytes() == _canonical_rows(-E).tobytes()
 
 
 @pytest.mark.parametrize("delta", [1e-1, 1e-6, 1e-10])
@@ -171,7 +171,7 @@ def test_a_ray_just_outside_the_orthant_is_kept(delta):
     # (1, 1, -delta) lies outside the orthant, so it is an extreme ray at any
     # delta > 0, even where the polar's rays put it on the facet x_3 = 0.
     cone = PolyhedralGenerators(np.vstack([np.eye(3), [1.0, 1.0, -delta]]))
-    assert len(generators_of(cone)) == 4
+    assert len(cone.generators()) == 4
 
 
 @pytest.mark.xfail(strict=True, reason="double description admits candidates within 1e-9 "
@@ -180,7 +180,7 @@ def test_polar_rays_of_a_ray_just_outside_the_orthant():
     # The polar has 4 rays, each with inner product <= 0 (up to rounding)
     # with every kept ray.  Today it has 3, one of them +3.5e-11 off.
     cone = PolyhedralGenerators(np.vstack([np.eye(3), [1.0, 1.0, -1e-10]]))
-    rays, polar_rays = generators_of(cone), generators_of(polar(cone))
+    rays, polar_rays = cone.generators(), cone.polar().generators()
     assert len(polar_rays) == 4
     assert (polar_rays @ rays.T).max() <= 1e-15
 
@@ -195,7 +195,7 @@ def test_a_nearly_redundant_ray_still_fails_the_catalogue(seed):
 def test_redundant_and_duplicate_generators_are_pruned():
     cone = PolyhedralGenerators(np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [2.0, 0.0, 0.0]]]))
     # Unit rows, in lexicographic order.
-    np.testing.assert_array_equal(generators_of(cone), np.eye(3)[::-1])
+    np.testing.assert_array_equal(cone.generators(), np.eye(3)[::-1])
 
 
 @pytest.mark.parametrize("V, combination", [
@@ -208,7 +208,7 @@ def test_a_cone_that_spans_less_than_the_space_keeps_its_report(V, combination):
     # from the kept rays too, so an appended combination changes no bit.
     V = np.array(V)
     relisted = np.vstack([V, combination])
-    assert len(generators_of(PolyhedralGenerators(relisted))) == len(V)
+    assert len(PolyhedralGenerators(relisted).generators()) == len(V)
     assert _bitwise_equal(_what_reports_read(PolyhedralGenerators(V)),
                           _what_reports_read(PolyhedralGenerators(relisted)))
     assert _reports(PolyhedralGenerators(relisted)) == _reports(PolyhedralGenerators(V))
