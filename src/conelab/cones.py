@@ -257,7 +257,7 @@ def _readonly(a):
 
 def _with_rays(cone, rays):
     """``cone`` with its ray matrix already known, so it runs no double description."""
-    object.__setattr__(cone, "_ray_rows", _readonly(rays))
+    cone.__dict__["_rays"] = _readonly(rays)
     return cone
 
 
@@ -528,7 +528,7 @@ class PolyhedralGenerators(ConeSpec):
         """The polar cone in halfspace form, built once with its rays; raises
         when the generators span the whole space (the polar {0} has no ray)."""
         pol = self._derived[1]
-        if not len(pol._rays()):
+        if not len(pol._rays):
             raise ValueError("polar cone is {0}: the generators span the whole space")
         return pol
 
@@ -554,7 +554,7 @@ class PolyhedralGenerators(ConeSpec):
         if m > oracle.MAX_DD_DIM:
             return V, PolyhedralHalfspaces(-V), None
         pol = PolyhedralHalfspaces(-V)
-        P = oracle._unit_rows(pol._rays())
+        P = oracle._unit_rows(pol._rays)
         if _rank(P) < m:  # the cone holds a line: keep the listed generators
             return V, pol, None
         S = oracle._scaled_rows(V)[0]  # exact, so no norm below overflows
@@ -615,19 +615,16 @@ class PolyhedralHalfspaces(ConeSpec):
     def dim(self):
         return self.normals.shape[1]
 
+    @functools.cached_property
     def _rays(self):
         """Extreme rays in canonical order (see :meth:`generators`), then
         lineality pairs, by one double description of the canonical normals;
         built once, read-only, and the same for any listing of the normals."""
-        r = getattr(self, "_ray_rows", None)
-        if r is None:
-            N = _canonical_rows(self.normals)
-            R = np.reshape(oracle.double_description(N), (-1, self.dim))
-            # The lineality pairs come last, by the double description's own rank test.
-            rays = len(R) - 2 * (self.dim - oracle._row_space(oracle._unit_rows(N))[0])
-            r = _readonly(np.vstack([_canonical_rows(R[:rays]), R[rays:]]))
-            object.__setattr__(self, "_ray_rows", r)
-        return r
+        N = _canonical_rows(self.normals)
+        R = np.reshape(oracle.double_description(N), (-1, self.dim))
+        # The lineality pairs come last, by the double description's own rank test.
+        rays = len(R) - 2 * (self.dim - oracle._row_space(oracle._unit_rows(N))[0])
+        return _readonly(np.vstack([_canonical_rows(R[:rays]), R[rays:]]))
 
     def membership_residual(self, x):
         unit = oracle._unit_rows(self.normals)
@@ -637,19 +634,16 @@ class PolyhedralHalfspaces(ConeSpec):
         return PolyhedralHalfspaces(-self.normals)
 
     def polar(self):
-        """The polar cone, exactly: the generators -N of a square invertible
-        normal matrix N, else the halfspaces of the negated rays; the polar
-        of ``dim`` orthogonal rays E has the rays -E, so it enumerates none."""
-        N = self.normals
-        k, m = N.shape
-        if k == m:
-            sv = np.linalg.svd(N, compute_uv=False)
-            if sv[-1] > sv[0] * _SINGULAR_RTOL:
-                return PolyhedralGenerators(-N)
+        """The polar cone, exactly, however the normals were listed: the halfspaces
+        -E of the ray matrix E, with the rays -E when E is ``dim`` orthogonal rays."""
         E = self.generators()
         if _orthogonal(E.T) is not None:
             return _orthogonal_polar(E)
         return PolyhedralHalfspaces(-E)
+
+    def is_generating(self):
+        # The rays, not generators(): the cone {0} has none, and is not generating.
+        return _rank(self._rays) == self.dim
 
     def is_pointed(self, tol=DEFAULT_TOL):
         return _rank(self.normals) == self.dim
@@ -658,10 +652,9 @@ class PolyhedralHalfspaces(ConeSpec):
         return self
 
     def generators(self):
-        R = self._rays()
-        if not len(R):
+        if not len(self._rays):
             raise ValueError("cone is {0}: no nonzero point meets all its halfspaces")
-        return R.copy()
+        return self._rays.copy()
 
     def to_json(self):
         return {"type": "halfspaces", "normals": self.normals.tolist()}

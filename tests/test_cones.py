@@ -105,12 +105,11 @@ def test_polar_generators_and_halfspaces():
     assert isinstance(P, PolyhedralHalfspaces)
     assert contains(P, [0.0, -1.0])
     assert not contains(P, [1.0, 0.5])
-    # square invertible halfspaces use the sign-flip closed form
+    # halfspaces have the halfspace polar of their negated rays, square or not
     H = PolyhedralHalfspaces(np.eye(2))
     PH = H.polar()
-    assert isinstance(PH, PolyhedralGenerators)
+    assert isinstance(PH, PolyhedralHalfspaces)
     assert contains(PH, [-2.0, -3.0])
-    # non-square halfspaces route through ray enumeration
     H2 = PolyhedralHalfspaces([[1.0, 0.0]])
     PH2 = H2.polar()
     assert contains(PH2, [-1.0, 0.0])
@@ -137,6 +136,8 @@ def test_is_generating():
     assert not PolyhedralGenerators([[1.0, 2.0]]).is_generating()
     assert PolyhedralGenerators([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]).is_generating()
     assert not PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 0.0]]).is_generating()
+    assert not PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                     [0.0, -1.0]]).is_generating()  # the cone {0}
 
 
 def test_is_pointed():

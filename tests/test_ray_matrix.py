@@ -166,6 +166,22 @@ def test_orthogonal_rays_get_the_exact_polar(d):
             assert cone.polar().generators().tobytes() == _canonical_rows(-E).tobytes()
 
 
+def test_the_polar_of_a_halfspace_cone_does_not_depend_on_its_listing():
+    # Square invertible normals, and the same cone with a redundant normal
+    # appended: each polar is the halfspace cone of -E, for one ray matrix E,
+    # so its membership residual and its projection agree to rounding.
+    N = np.linalg.inv(np.eye(3) + 0.3 * np.outer(np.eye(3)[0], np.eye(3)[1]))
+    listings = [N, np.vstack([N, N[0] + N[1]]), np.vstack([N, N[0] + N[2]])]
+    pairs = [moreau_pair(PolyhedralHalfspaces(L)) for L in listings]
+    assert all(isinstance(pair.cone_n, PolyhedralHalfspaces) for pair in pairs)
+    X = gaussian_points(rng_for(1, "polar-listing"), 1000, 3)
+    residuals = [pair.cone_n.membership_residual(X) for pair in pairs]
+    images = [pair.n(X) for pair in pairs]
+    for r, y in zip(residuals[1:], images[1:]):
+        np.testing.assert_allclose(r, residuals[0], rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(y, images[0], rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("delta", [1e-1, 1e-6, 1e-10])
 def test_a_ray_just_outside_the_orthant_is_kept(delta):
     # (1, 1, -delta) lies outside the orthant, so it is an extreme ray at any

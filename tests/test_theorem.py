@@ -69,7 +69,7 @@ def test_moreau_verdict_matches_theorem(family, seed):
 
 def test_halfspace_orthant_is_the_generator_orthant():
     # Each ray of the halfspace form is one of the unit rows of _Q.
-    rays = FAMILIES["orthant-halfspaces"][0]._rays()
+    rays = FAMILIES["orthant-halfspaces"][0]._rays
     assert len(rays) == 3
     np.testing.assert_allclose(np.sort(rays @ _Q.T, axis=1), [[0.0, 0.0, 1.0]] * 3,
                                atol=1e-12)
