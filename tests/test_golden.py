@@ -4,7 +4,9 @@ Each case runs the CLI in process and compares the report with the file of
 the same name under ``tests/golden/``.  The failing Moreau cases cover the
 ``witnesses`` and ``shrunk`` fields: on the Lorentz cones (``--pair moreau``
 is dimension 3) five checks fail, and the non-orthogonal simplicial cone
-runs its maps through ``FaceTable``.  The ``sup`` cases cover the JSON and
+runs its maps through ``FaceTable``, as do its generator form (with a
+redundant generator) and its halfspace form, which cover the polyhedral
+cones' rays and polars.  The ``sup`` cases cover the JSON and
 CSV traces of a converging lattice pair and of the exploratory Moreau mode;
 ``batch`` and the remaining demos cover the other commands.
 
@@ -36,6 +38,14 @@ _PAIRS = {
     "simplicial-lattice": {"family": "lattice", "cone": {"type": "simplicial", "basis": _SKEW}},
     "orthant-4-minkowski": {"family": "minkowski", "cone": {"type": "orthant", "dim": 4},
                             "interior_point": [1.0, 2.0, 0.5, 1.0]},
+    # The simplicial cone of _SKEW as generators (with their sum, redundant) and as
+    # halfspaces (the rows of the basis inverse).
+    "generators-moreau": {"family": "moreau",
+                          "cone": {"type": "generators", "vectors": _SKEW + [[2.0, 2.0, 1.0]]}},
+    "halfspaces-moreau": {"family": "moreau",
+                          "cone": {"type": "halfspaces",
+                                   "normals": [[1.0, -1.0, 1.0], [0.0, 1.0, -1.0],
+                                               [0.0, 0.0, 1.0]]}},
 }
 
 _SUP_PAIRS = {
