@@ -243,12 +243,6 @@ def _canonical_rows(R):
     return U[keep]
 
 
-def _orthogonal_polar(E):
-    """The exact polar of ``dim`` pairwise orthogonal rays E (see
-    :func:`_orthogonal`): the cone of -E, whose rays are known."""
-    return _with_rays(PolyhedralHalfspaces(-E), _canonical_rows(-E))
-
-
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -269,7 +263,8 @@ class ConeSpec:
     ({y : <x, y> <= 0 for all x in K}), ``negative`` (-K), ``is_generating``
     (K - K spans R^m), ``is_pointed`` (K holds no line) and ``to_json``.  The
     defaults here: ``generators`` and ``halfspaces`` raise ``ValueError``, and
-    ``_projector``, ``members`` and ``is_generating`` read ``generators``.
+    ``_projector``, ``members``, ``polar`` and ``is_generating`` read
+    ``generators``.
 
     ``membership_residual`` is the relative violation of membership, 0 for
     interior points, of a vector (a float) or an (n, dim) batch (an (n,)
@@ -300,6 +295,20 @@ class ConeSpec:
 
     def is_generating(self):
         return _rank(self.generators()) == self.dim
+
+    def polar(self):
+        """The halfspace cone of -E for the ray matrix E of :meth:`generators`,
+        so it does not depend on how the cone was written.  Its rays are
+        -E, exactly, when E is ``dim`` orthogonal rays (see :func:`_orthogonal`),
+        else found by its own double description; raises when the polar is
+        {0}, which has no ray."""
+        E = self.generators()
+        pol = PolyhedralHalfspaces(-E)
+        if _orthogonal(E.T) is not None:
+            _with_rays(pol, _canonical_rows(-E))
+        if not len(pol._rays):
+            raise ValueError("polar cone is {0}: the generators span the whole space")
+        return pol
 
     def generators(self):
         """Generator rows for a polyhedral cone, as a new array: the basis
@@ -524,64 +533,38 @@ class PolyhedralGenerators(ConeSpec):
     def dim(self):
         return self.vectors.shape[1]
 
-    def polar(self):
-        """The polar cone in halfspace form, built once with its rays; raises
-        when the generators span the whole space (the polar {0} has no ray)."""
-        pol = self._derived[1]
-        if not len(pol._rays):
-            raise ValueError("polar cone is {0}: the generators span the whole space")
-        return pol
-
     @functools.cached_property
     def _projector(self):
-        p = self._derived[2]
+        p = self._derived[1]
         return super()._projector if p is None else p
 
     @functools.cached_property
     def _derived(self):
-        """(ray matrix, polar cone, projector of the rays or None), from one
-        double description; built once.
+        """(ray matrix, projector of the rays or None), from one double
+        description of the polar of the listed generators; built once.
 
         A generator is an extreme ray exactly when the polar rays it is tight
         on have rank ``dim - 1`` (Motzkin et al. 1953).  A generator that
         fails that test still stays unless the projector of the kept rays,
         which becomes this cone's projector, reproduces it to ``_REPRODUCE_RTOL``.
-        The polar's rays and lineality pairs are then recomputed from the kept
-        rays alone, so redundant generators change neither matrix; ``dim``
-        orthogonal kept rays E get the exact polar -E instead.
+        So redundant generators change neither the ray matrix nor, through
+        :meth:`ConeSpec.polar`, the polar.
         """
         V, m = self.vectors, self.dim
         if m > oracle.MAX_DD_DIM:
-            return V, PolyhedralHalfspaces(-V), None
-        pol = PolyhedralHalfspaces(-V)
-        P = oracle._unit_rows(pol._rays)
+            return V, None
+        P = oracle._unit_rows(PolyhedralHalfspaces(-V)._rays)
         if _rank(P) < m:  # the cone holds a line: keep the listed generators
-            return V, pol, None
+            return V, None
         S = oracle._scaled_rows(V)[0]  # exact, so no norm below overflows
         on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
         E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
-        ortho = _orthogonal(E.T)  # picks both the clamp projector and the exact polar
-        project = _ray_projector(E.T, ortho)
+        project = _ray_projector(E.T, _orthogonal(E.T))
         missed = _row_norm(S - project(S)) > _REPRODUCE_RTOL * _row_norm(S)
         if missed.any():
             E, project = _canonical_rows(np.vstack([E, S[missed]])), None
-            ortho = _orthogonal(E.T)
-        if ortho is not None:
-            return _readonly(E), _orthogonal_polar(E), project
-        # In the span of the rays (basis Q), each polar ray is the null
-        # direction of the rays it is tight on.  The polar's lineality pairs,
-        # tight on every ray, span the rest of the space.
-        U = oracle._unit_rows(E)
-        _, sv, Vt = np.linalg.svd(U)
-        r = int(np.sum(sv > sv[0] * _RANK_RTOL))
-        Q = Vt[:r].T
-        tight = np.abs(P @ U.T) <= _TIGHT_TOL
-        tight = tight[~tight.all(axis=1)]
-        null = np.linalg.svd(tight[:, :, None] * (U @ Q))[2][:, -1] @ Q.T
-        R = _canonical_rows(np.where((null @ U.T).sum(axis=1, keepdims=True) > 0, -null, null))
-        lines = np.stack([Vt[r:], -Vt[r:]], axis=1).reshape(-1, m)
-        return _readonly(E), _with_rays(PolyhedralHalfspaces(-E), np.vstack([R, lines])), project
+        return _readonly(E), project
 
     def membership_residual(self, x):
         return self._residual(lambda X: _row_norm(X - self._projector(X)), x)
@@ -632,14 +615,6 @@ class PolyhedralHalfspaces(ConeSpec):
 
     def negative(self):
         return PolyhedralHalfspaces(-self.normals)
-
-    def polar(self):
-        """The polar cone, exactly, however the normals were listed: the halfspaces
-        -E of the ray matrix E, with the rays -E when E is ``dim`` orthogonal rays."""
-        E = self.generators()
-        if _orthogonal(E.T) is not None:
-            return _orthogonal_polar(E)
-        return PolyhedralHalfspaces(-E)
 
     def is_generating(self):
         # The rays, not generators(): the cone {0} has none, and is not generating.
@@ -706,8 +681,11 @@ def cone_from_json(obj):
     unknown = set(obj) - _JSON_KEYS[kind]
     if unknown:
         raise ValueError(f"unknown keys for cone type {kind}: {sorted(unknown)}")
+    missing = _JSON_KEYS[kind] - {"negated"} - set(obj)
+    if missing:
+        raise ValueError(f"cone type {kind} is missing the {missing.pop()!r} key")
     if kind == "orthant":
-        return Orthant(_as_int(obj.get("dim"), "cone dim"))
+        return Orthant(_as_int(obj["dim"], "cone dim"))
     if kind == "simplicial":
         cols = _as_numbers(obj["basis"], "simplicial basis")
         if cols.ndim != 2:
@@ -717,7 +695,7 @@ def cone_from_json(obj):
         negated = obj.get("negated", False)
         if not isinstance(negated, bool):
             raise ValueError(f"lorentz negated must be true or false, got {negated!r}")
-        return Lorentz(_as_int(obj.get("dim"), "cone dim"), negated=negated)
+        return Lorentz(_as_int(obj["dim"], "cone dim"), negated=negated)
     if kind == "generators":
         return PolyhedralGenerators(_as_rows(obj["vectors"], "generator vectors"))
     return PolyhedralHalfspaces(_as_rows(obj["normals"], "halfspace normals"))

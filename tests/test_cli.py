@@ -268,6 +268,16 @@ def test_non_integer_cone_dim_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == "conelab: error: cone dim must be an integer, got None\n"
 
 
+@pytest.mark.parametrize("kind, key", [("generators", "vectors"), ("halfspaces", "normals"),
+                                       ("simplicial", "basis"), ("orthant", "dim"),
+                                       ("lorentz", "dim")])
+def test_cone_without_its_data_key_exit_two(tmp_path, capsys, kind, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair": {"family": "moreau", "cone": {"type": kind}}}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"conelab: error: cone type {kind} is missing the '{key}' key\n"
+
+
 def test_console_script_usage_error():
     result = run_cli(["verify", "--format", "yaml"])
     assert result.returncode == 2

@@ -2,9 +2,9 @@
 depend on how the cone was written.
 
 A cone given by generators keeps its extreme rays only, as sorted unit
-vectors, and its polar's rays are recomputed from them (``dim`` orthogonal
-rays E get the exact polar -E, in either form); a cone given
-by halfspaces runs one double description on its sorted unit normals.  So
+vectors; a cone given by halfspaces runs one double description on its
+sorted unit normals.  In either form the polar is the halfspace cone of -E
+for that ray matrix E, with the rays -E when E is ``dim`` orthogonal rays.  So
 permuting the generators, scaling each by 2^k, or appending positive
 combinations of them changes nothing a report reads, bit for bit, and
 neither does permuting or 2^k-scaling the normals of a halfspace cone.
@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from conelab import (Orthant, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
                      moreau_pair, run_catalogue)
-from conelab.cones import _REPRODUCE_RTOL, _canonical_rows
-from conelab.oracle import _unit_rows
+from conelab.cones import _REPRODUCE_RTOL, _canonical_rows, _orthogonal
+from conelab.oracle import MAX_DD_DIM, _unit_rows
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 
@@ -150,20 +150,43 @@ def test_orthant_forms_give_equal_verdicts():
     assert all(v == verdicts[0] for v in verdicts)
 
 
-@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("family, seed", [(f, s) for f in sorted(_FAMILIES) for s in range(5)])
+def test_a_polar_depends_only_on_the_ray_matrix(family, seed):
+    # One rule for both forms: the polar of a cone with ray matrix E is the
+    # halfspace cone of -E, whose rays are -E when E is dim orthogonal rays.
+    V = _FAMILIES[family](np.random.default_rng(seed))
+    for cone in (PolyhedralGenerators(V), _halfspace_form(V)):
+        E = cone.generators()
+        polar = cone.polar()
+        assert polar.normals.shape == E.shape and polar.normals.tobytes() == (-E).tobytes()
+        rays = (_canonical_rows(-E) if _orthogonal(E.T) is not None
+                else PolyhedralHalfspaces(-E).generators())
+        assert _bitwise_equal([polar.generators()], [rays])
+
+
+@pytest.mark.parametrize("d", [*range(2, 8), 11, 12])
 def test_orthogonal_rays_get_the_exact_polar(d):
     # The polar of d orthogonal rays E is the cone of -E: both forms give its
-    # rays as -E, bit for bit, not recomputed from tight sets (which rounds).
+    # rays as -E, bit for bit, with no double description (which rounds).  So
+    # above the enumeration cap, where a generator cone keeps its listed rows
+    # and a halfspace cone has no rays, d orthogonal generators still get it.
     rng = rng_for(d, "exact-orthogonal-polar")
-    for redundant in range(4):
+    capped = d > MAX_DD_DIM
+    for redundant in range(1 if capped else 4):
         G = _rotated_orthant(rng, d)
         V = np.vstack([G, rng.uniform(0.2, 1.0, (redundant, d)) @ G])  # strictly interior
         V = np.ldexp(V, rng.integers(-8, 9, (len(V), 1)))
-        forms = [PolyhedralGenerators(V)] + [PolyhedralHalfspaces(V)] * (redundant > 0)
+        forms = [PolyhedralGenerators(V)] + [PolyhedralHalfspaces(V)] * (not capped)
         for cone in forms:
             E = cone.generators()
             assert E.shape == (d, d)
             assert cone.polar().generators().tobytes() == _canonical_rows(-E).tobytes()
+    if capped:  # the Moreau maps are the clamp Q max(Q^T x, 0) and the rest
+        pair, Q = moreau_pair(forms[0]), _unit_rows(V).T
+        X = gaussian_points(rng, 200, d)
+        M = np.maximum(X @ Q, 0.0) @ Q.T
+        tol = 1e-14 * np.linalg.norm(X, axis=1, keepdims=True)
+        assert (np.abs(pair.m(X) - M) <= tol).all() and (np.abs(pair.n(X) - (X - M)) <= tol).all()
 
 
 def test_the_polar_of_a_halfspace_cone_does_not_depend_on_its_listing():
@@ -194,7 +217,8 @@ def test_a_ray_just_outside_the_orthant_is_kept(delta):
                                       "of feasibility, so the polar loses a facet")
 def test_polar_rays_of_a_ray_just_outside_the_orthant():
     # The polar has 4 rays, each with inner product <= 0 (up to rounding)
-    # with every kept ray.  Today it has 3, one of them +3.5e-11 off.
+    # with every kept ray.  Today its double description finds 3, each within
+    # 2.6e-16 of the polar, and loses the fourth.
     cone = PolyhedralGenerators(np.vstack([np.eye(3), [1.0, 1.0, -1e-10]]))
     rays, polar_rays = cone.generators(), cone.polar().generators()
     assert len(polar_rays) == 4

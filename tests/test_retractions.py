@@ -212,16 +212,17 @@ _Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0].T
 _REDUNDANT = np.vstack([_Q, _INTERIOR @ _Q])
 
 
-@pytest.mark.parametrize("make, dd_calls, tables", [
-    (lambda: PolyhedralHalfspaces(_SKEW_REDUNDANT), 2, 2),
-    (lambda: PolyhedralGenerators(_SKEW_REDUNDANT), 1, 2),
+@pytest.mark.parametrize("make", [
+    lambda: PolyhedralHalfspaces(_SKEW_REDUNDANT),
+    lambda: PolyhedralGenerators(_SKEW_REDUNDANT),
 ], ids=["halfspaces", "generators"])
-def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_calls, tables):
-    # Rays come from one double description per halfspace cone (the cone and
-    # its polar), and each cone's FaceTable is built once.
+def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make):
+    # In either form, one double description finds the cone's rays E (for
+    # generators, through the polar of the listed ones) and one the rays of
+    # its polar, the halfspace cone of -E; each cone's FaceTable is built once.
     counts = _count_builds(monkeypatch)
     run_catalogue(moreau_pair(make()), 200, 1)
-    assert (counts["dd"], counts["tables"]) == (dd_calls, tables)
+    assert (counts["dd"], counts["tables"]) == (2, 2)
 
 
 @pytest.mark.parametrize("make", [
@@ -230,8 +231,8 @@ def test_moreau_catalogue_builds_polyhedral_data_once(monkeypatch, make, dd_call
 ], ids=["halfspaces", "generators"])
 def test_rotated_orthant_builds_no_face_table(monkeypatch, make):
     # Orthogonal rays project by the clamp, so no table is built; the one
-    # double description finds the rays E of the halfspace form (whose polar
-    # is then the cone of -E) or the polar of the generator form.
+    # double description finds the rays E (for generators, through the polar
+    # of the listed ones), and the polar, the cone of -E, has the rays -E.
     counts = _count_builds(monkeypatch)
     run_catalogue(moreau_pair(make()), 200, 1)
     assert (counts["dd"], counts["tables"]) == (1, 0)
@@ -239,7 +240,9 @@ def test_rotated_orthant_builds_no_face_table(monkeypatch, make):
 
 def test_redundant_generators_leave_the_face_tables(monkeypatch):
     # A skew cone of R^5 with 4 redundant interior generators: both tables
-    # span the 5 extreme rays (2^5 subsets), not the 9 listed ones.
+    # span the 5 extreme rays (2^5 subsets), not the 9 listed ones.  One
+    # double description prunes the listed generators, one finds the polar's
+    # rays from the kept ones.
     rng = np.random.default_rng(11)
     G = _skew(5) * rng.uniform(0.5, 2.0, (5, 1))
     cone = PolyhedralGenerators(np.vstack([G, rng.uniform(0.2, 1.0, (4, 5)) @ G]))
@@ -260,7 +263,7 @@ def test_redundant_generators_leave_the_face_tables(monkeypatch):
     X = gaussian_points(rng_for(0, "tables"), 50, 5)
     pair.cone_m.membership_residual(pair.m(X))
     pair.cone_n.membership_residual(pair.n(X))
-    assert (subsets, len(dd_calls)) == ([32, 32], 1)
+    assert (subsets, len(dd_calls)) == ([32, 32], 2)
 
 
 @pytest.mark.parametrize("d", range(2, 8))
