@@ -167,9 +167,10 @@ def test_a_polar_depends_only_on_the_ray_matrix(family, seed):
 @pytest.mark.parametrize("d", [*range(2, 8), 11, 12])
 def test_orthogonal_rays_get_the_exact_polar(d):
     # The polar of d orthogonal rays E is the cone of -E: both forms give its
-    # rays as -E, bit for bit, with no double description (which rounds).  So
-    # above the enumeration cap, where a generator cone keeps its listed rows
-    # and a halfspace cone has no rays, d orthogonal generators still get it.
+    # rays as -E, bit for bit, with no double description of the polar (which
+    # rounds).  So above the enumeration cap, where a generator cone keeps its
+    # listed rows and a halfspace cone cannot find its rays, d orthogonal
+    # generators still get it.
     rng = rng_for(d, "exact-orthogonal-polar")
     capped = d > MAX_DD_DIM
     for redundant in range(1 if capped else 4):
