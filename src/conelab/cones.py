@@ -249,12 +249,6 @@ def _readonly(a):
     return a
 
 
-def _with_rays(cone, rays):
-    """``cone`` with its ray matrix already known, so it runs no double description."""
-    cone.__dict__["_rays"] = _readonly(rays)
-    return cone
-
-
 class ConeSpec:
     """Base class for exact cone representations.
 
@@ -264,7 +258,8 @@ class ConeSpec:
     (K - K spans R^m), ``is_pointed`` (K holds no line) and ``to_json``.  The
     defaults here: ``generators`` and ``halfspaces`` raise ``ValueError``, and
     ``_projector``, ``members``, ``polar`` and ``is_generating`` read
-    ``generators``.
+    ``generators``; ``is_pointed`` and ``_facet_residual``, each polyhedral
+    class's ``membership_residual``, read its inward facet normals ``_facets``.
 
     ``membership_residual`` is the relative violation of membership, 0 for
     interior points, of a vector (a float) or an (n, dim) batch (an (n,)
@@ -274,6 +269,15 @@ class ConeSpec:
     def _residual(self, violation, x):
         """:func:`_relative` of ``violation`` on ``x``, a vector or a batch."""
         return _rowwise(functools.partial(_relative, violation), x, self.dim)
+
+    def _facet_residual(self, x):
+        """``max(0, -min_j <a_j, x>)`` over the rows a_j of ``_facets``, made
+        relative by :meth:`_residual`; a zero residual is +0.0."""
+        return self._residual(lambda X: np.maximum(-_row_min(_dot(X, self._facets.T)), 0.0), x)
+
+    def is_pointed(self):
+        # K holds no line iff its facet normals span R^m, i.e. its polar is full.
+        return _rank(self._facets) == self.dim
 
     @functools.cached_property
     def _projector(self):
@@ -296,19 +300,22 @@ class ConeSpec:
     def is_generating(self):
         return _rank(self.generators()) == self.dim
 
-    def polar(self):
-        """The halfspace cone of -E for the ray matrix E of :meth:`generators`,
-        so it does not depend on how the cone was written.  Its rays are
-        -E, exactly, when E is ``dim`` orthogonal rays (see :func:`_orthogonal`),
-        else found by its own double description; raises when the polar is
-        {0}, which has no ray."""
+    @functools.cached_property
+    def _polar(self):
+        """The halfspace cone of -E for the ray matrix E, built once: its rays are
+        -E when E is ``dim`` orthogonal rays, else its own double description's."""
         E = self.generators()
         pol = PolyhedralHalfspaces(-E)
         if _orthogonal(E.T) is not None:
-            _with_rays(pol, _canonical_rows(-E))
-        if not len(pol._rays):
-            raise ValueError("polar cone is {0}: the generators span the whole space")
+            pol.__dict__["_rays"] = _readonly(_canonical_rows(-E))
         return pol
+
+    def polar(self):
+        """:attr:`_polar`, so it does not depend on how the cone was written;
+        raises when the polar is {0}, which has no ray."""
+        if not len(self._polar._rays):
+            raise ValueError("polar cone is {0}: the generators span the whole space")
+        return self._polar
 
     def generators(self):
         """Generator rows for a polyhedral cone, as a new array: the basis
@@ -318,9 +325,8 @@ class ConeSpec:
         near-parallel duplicates, in lexicographic order; a halfspace cone's
         lineality pairs follow its rays.  So it does not depend on how the cone
         was listed, and a cone's generator and halfspace forms give the same
-        matrix up to rounding.  A generator cone that holds a line, or whose
-        dimension exceeds ``oracle.MAX_DD_DIM``, keeps its listed generators.
-        Raises for the cone {0}, which has no generator.
+        matrix up to rounding.  A generator cone that holds a line keeps its
+        listed generators.  Raises for the cone {0}, which has no generator.
         """
         raise ValueError("cone is not polyhedral")
 
@@ -387,7 +393,7 @@ class _ProperCone(ConeSpec):
     def is_generating(self):
         return True
 
-    def is_pointed(self, tol=DEFAULT_TOL):
+    def is_pointed(self):
         return True
 
 
@@ -420,8 +426,12 @@ class Simplicial(_ProperCone):
         """Basis coordinates c with x = basis @ c."""
         return _rowwise(lambda X: _dot(X, self.basis_inv.T), x, self.dim)
 
-    def membership_residual(self, x):
-        return self._residual(lambda X: np.maximum(0.0, -_row_min(_dot(X, self.basis_inv.T))), x)
+    @property
+    def _facets(self):
+        # Unscaled rows: unit rows would cost a normalization per cone built.
+        return self.basis_inv
+
+    membership_residual = ConeSpec._facet_residual
 
     @functools.cached_property
     def _projector(self):
@@ -551,8 +561,6 @@ class PolyhedralGenerators(ConeSpec):
         :meth:`ConeSpec.polar`, the polar.
         """
         V, m = self.vectors, self.dim
-        if m > oracle.MAX_DD_DIM:
-            return V, None
         P = oracle._unit_rows(PolyhedralHalfspaces(-V)._rays)
         if _rank(P) < m:  # the cone holds a line: keep the listed generators
             return V, None
@@ -566,15 +574,17 @@ class PolyhedralGenerators(ConeSpec):
             E, project = _canonical_rows(np.vstack([E, S[missed]])), None
         return _readonly(E), project
 
-    def membership_residual(self, x):
-        return self._residual(lambda X: _row_norm(X - self._projector(X)), x)
+    @functools.cached_property
+    def _facets(self):
+        """Inward facet normals: the polar's negated rays, lineality pairs
+        included; one zero row for the whole space, whose polar is {0}."""
+        rays = self._polar._rays
+        return _readonly(-rays if len(rays) else np.zeros((1, self.dim)))
+
+    membership_residual = ConeSpec._facet_residual
 
     def negative(self):
         return PolyhedralGenerators(-self.vectors)
-
-    def is_pointed(self, tol=DEFAULT_TOL):
-        # K contains a line iff -g lies back in K for some generator g.
-        return not contains(self, -self.generators(), tol).any()
 
     def generators(self):
         # Never empty, unlike a halfspace cone's: the listed vectors are nonzero.
@@ -609,9 +619,12 @@ class PolyhedralHalfspaces(ConeSpec):
         rays = len(R) - 2 * (self.dim - oracle._row_space(oracle._unit_rows(N))[0])
         return _readonly(np.vstack([_canonical_rows(R[:rays]), R[rays:]]))
 
-    def membership_residual(self, x):
-        unit = oracle._unit_rows(self.normals)
-        return self._residual(lambda X: _row_max(np.maximum(0.0, -_dot(X, unit.T))), x)
+    @functools.cached_property
+    def _facets(self):
+        """The unit normals, built once."""
+        return _readonly(oracle._unit_rows(self.normals))
+
+    membership_residual = ConeSpec._facet_residual
 
     def negative(self):
         return PolyhedralHalfspaces(-self.normals)
@@ -619,9 +632,6 @@ class PolyhedralHalfspaces(ConeSpec):
     def is_generating(self):
         # The rays, not generators(): the cone {0} has none, and is not generating.
         return _rank(self._rays) == self.dim
-
-    def is_pointed(self, tol=DEFAULT_TOL):
-        return _rank(self.normals) == self.dim
 
     def halfspaces(self):
         return self

@@ -4,8 +4,8 @@ Everything here is deliberately exponential: projections are found by
 enumerating generator subsets and extreme rays by enumerating active
 constraint sets.  That keeps the code logically independent of the
 closed-form paths it is used to certify, at the price of hard caps on
-problem size (at most 12 generators/halfspaces, ambient dimension at
-most 16, ray enumeration up to dimension 10).
+problem size: at most 12 generators/halfspaces (so ray enumeration solves
+at most C(12, 6) = 924 subsets, in any dimension) and dimension 16.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 MAX_GENERATORS = 12
 MAX_DIM = 16
-MAX_DD_DIM = 10
 MAX_DD_HALFSPACES = 12
 
 _RANK_RTOL = 1e-12
@@ -297,7 +296,7 @@ def double_description(halfspaces):
     Parameters
     ----------
     halfspaces : array_like, shape (k, m)
-        Inward normal vectors, one per row.  k <= 12, m <= 10.
+        Inward normal vectors, one per row.  k <= 12, m <= 16.
 
     Returns
     -------
@@ -306,8 +305,6 @@ def double_description(halfspaces):
     """
     B = _as_generator_matrix(halfspaces, max_rows=MAX_DD_HALFSPACES)
     k, m = B.shape
-    if m > MAX_DD_DIM:
-        raise ValueError(f"ray enumeration capped at dimension {MAX_DD_DIM}, got {m}")
     Bn = _unit_rows(B)
 
     r, Vt = _row_space(Bn)

@@ -403,9 +403,9 @@ def test_projector_cap_exit_two(tmp_path, capsys):
                    "projector takes at most 12\n")
 
 
-def test_generator_cone_above_the_ray_enumeration_cap(tmp_path, capsys):
-    # Above oracle.MAX_DD_DIM a generator cone keeps its listed generators
-    # and gets no projector, so a Moreau pair refuses it.
+def test_generator_cone_whose_polar_exceeds_the_face_table_cap(tmp_path, capsys):
+    # Ray enumeration has no dimension cap: 5 generators in R^11 find their
+    # polar's 17 extreme rays, which the face-table projector refuses.
     vectors = (np.eye(11)[:5] + 0.1).tolist()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pair": {"family": "moreau",
@@ -413,16 +413,25 @@ def test_generator_cone_above_the_ray_enumeration_cap(tmp_path, capsys):
                                "samples": 20}))
     assert main(["verify", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == (
-        "conelab: error: ray enumeration capped at dimension 10, got 11\n")
+        "conelab: error: cone has 17 extreme rays, but the face-table "
+        "projector takes at most 12\n")
 
 
 @pytest.mark.parametrize("cone,point", [
-    # The range line of dimension 12 is a generator cone above the cap.
+    # The range line of dimension 12 is a generator cone that holds a line.
     ({"type": "orthant", "dim": 12}, [1.0] * 12),
     # A halfspace cone is its own halfspace form.
     ({"type": "halfspaces", "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]},
      [1.0, 1.0, 1.0]),
-], ids=["orthant-12", "halfspaces"])
+    # The range line and ray of R^16 find their polars' rays by double description.
+    ({"type": "orthant", "dim": 16}, [1.0] * 16),
+    # 20 normals, over the double description's cap of 12: the range of n is
+    # the halfspace cone of their negations, whose membership reads no rays.
+    ({"type": "halfspaces", "normals": [[np.cos(t), np.sin(t), 1.0]
+                                        for t in np.linspace(0.0, 2.0 * np.pi, 20,
+                                                             endpoint=False)]},
+     [0.0, 0.0, 1.0]),
+], ids=["orthant-12", "halfspaces", "orthant-16", "halfspaces-20"])
 def test_minkowski_verify_passes(tmp_path, cone, point):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pair": {"family": "minkowski", "cone": cone,

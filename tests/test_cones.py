@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conelab import (DEFAULT_TOL, ConeSpec, Lorentz, Orthant, PolyhedralGenerators,
-                     PolyhedralHalfspaces, Simplicial, ToleranceConfig,
-                     closed_form_sup, cone_from_json, contains, lattice_pair, leq,
-                     moreau_pair, project_cone, run_catalogue, sample_simplicial)
+from conelab import (ConeSpec, Lorentz, Orthant, PolyhedralGenerators, PolyhedralHalfspaces,
+                     Simplicial, ToleranceConfig, closed_form_sup, cone_from_json, contains,
+                     lattice_pair, leq, moreau_pair, oracle, project_cone, run_catalogue,
+                     sample_simplicial)
 from conelab.cones import (_FOLD_ROWS, _joint_row_exponents, _row_exponents, _row_max,
                            _row_min, _row_norm)
 from conelab.sampling import cone_members, gaussian_points, rng_for
@@ -147,6 +147,53 @@ def test_is_pointed():
     assert PolyhedralHalfspaces(np.eye(2)).is_pointed()
     assert not PolyhedralGenerators([[1.0, 0.0], [-1.0, 0.0]]).is_pointed()
     assert PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0]]).is_pointed()
+
+
+def test_the_cone_zero_and_the_whole_space_keep_their_residuals():
+    X = gaussian_points(rng_for(1, "zero-and-whole"), 100, 2)
+    # {0}: the normals +-e1, +-e2 are unit, so the residual is max |x_i| / (1 + |x|).
+    origin = PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    expected = np.abs(X).max(axis=1) / (1.0 + np.linalg.norm(X, axis=1))
+    assert origin.membership_residual(X).tobytes() == expected.tobytes()
+    assert origin.is_pointed()
+    # R^2: its polar is {0}, so its one facet row is zero and every residual +0.0.
+    plane = PolyhedralGenerators([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    for r in (plane.membership_residual(X), np.array([plane.membership_residual(X[0])])):
+        assert (r == 0.0).all() and not np.signbit(r).any()
+    assert not plane.is_pointed()
+
+
+def test_polar_is_built_once(monkeypatch):
+    # One double description finds the rays of the listed generators' polar,
+    # one those of the polar of the ray matrix; a second call reuses it.
+    dd, calls = oracle.double_description, []
+
+    def counting_dd(normals):
+        calls.append(1)
+        return dd(normals)
+
+    monkeypatch.setattr(oracle, "double_description", counting_dd)
+    cone = PolyhedralGenerators(np.eye(3) + 0.3 * np.outer(np.eye(3)[0], np.eye(3)[1]))
+    first, second = cone.polar(), cone.polar()
+    assert first is second
+    first.generators()
+    second.generators()
+    assert len(calls) == 2
+
+
+def test_halfspace_membership_normalizes_its_normals_once(monkeypatch):
+    cone = PolyhedralHalfspaces(np.vstack([np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 0.0]]))
+    x = np.array([1.0, -2.0, 3.0])
+    first = cone.membership_residual(x)
+    unit_rows, calls = oracle._unit_rows, []
+
+    def counting_unit_rows(B):
+        calls.append(1)
+        return unit_rows(B)
+
+    monkeypatch.setattr(oracle, "_unit_rows", counting_unit_rows)
+    assert cone.membership_residual(x) == first
+    assert calls == []
 
 
 def test_negate():
@@ -466,7 +513,7 @@ class TurnedLorentz(ConeSpec):
     def is_generating(self):
         return True
 
-    def is_pointed(self, tol=DEFAULT_TOL):
+    def is_pointed(self):
         return True
 
     def to_json(self):

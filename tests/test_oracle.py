@@ -74,8 +74,6 @@ def test_double_description_lineality():
 
 def test_double_description_caps():
     with pytest.raises(ValueError):
-        double_description(np.ones((3, 11)))
-    with pytest.raises(ValueError):
         double_description(np.vstack([np.eye(4)] * 4))  # 16 > 12 halfspaces
 
 

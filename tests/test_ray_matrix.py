@@ -13,6 +13,7 @@ them, on a few nearly degenerate cones, a verdict.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 from conelab import (Orthant, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
                      moreau_pair, run_catalogue)
 from conelab.cones import _REPRODUCE_RTOL, _canonical_rows, _orthogonal
-from conelab.oracle import MAX_DD_DIM, _unit_rows
+from conelab.oracle import FaceTable, _unit_rows
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 
@@ -168,26 +169,22 @@ def test_a_polar_depends_only_on_the_ray_matrix(family, seed):
 def test_orthogonal_rays_get_the_exact_polar(d):
     # The polar of d orthogonal rays E is the cone of -E: both forms give its
     # rays as -E, bit for bit, with no double description of the polar (which
-    # rounds).  So above the enumeration cap, where a generator cone keeps its
-    # listed rows and a halfspace cone cannot find its rays, d orthogonal
-    # generators still get it.
+    # rounds), in every dimension up to the generator cap.
     rng = rng_for(d, "exact-orthogonal-polar")
-    capped = d > MAX_DD_DIM
-    for redundant in range(1 if capped else 4):
+    for redundant in range(min(4, 13 - d)):  # at most 12 generators
         G = _rotated_orthant(rng, d)
         V = np.vstack([G, rng.uniform(0.2, 1.0, (redundant, d)) @ G])  # strictly interior
         V = np.ldexp(V, rng.integers(-8, 9, (len(V), 1)))
-        forms = [PolyhedralGenerators(V)] + [PolyhedralHalfspaces(V)] * (not capped)
-        for cone in forms:
+        for cone in (PolyhedralGenerators(V), PolyhedralHalfspaces(V)):
             E = cone.generators()
             assert E.shape == (d, d)
             assert cone.polar().generators().tobytes() == _canonical_rows(-E).tobytes()
-    if capped:  # the Moreau maps are the clamp Q max(Q^T x, 0) and the rest
-        pair, Q = moreau_pair(forms[0]), _unit_rows(V).T
-        X = gaussian_points(rng, 200, d)
-        M = np.maximum(X @ Q, 0.0) @ Q.T
-        tol = 1e-14 * np.linalg.norm(X, axis=1, keepdims=True)
-        assert (np.abs(pair.m(X) - M) <= tol).all() and (np.abs(pair.n(X) - (X - M)) <= tol).all()
+    # The Moreau maps are the clamp Q max(Q^T x, 0) and the rest.
+    pair, Q = moreau_pair(PolyhedralGenerators(V)), _unit_rows(G).T
+    X = gaussian_points(rng, 200, d)
+    M = np.maximum(X @ Q, 0.0) @ Q.T
+    tol = 1e-14 * np.linalg.norm(X, axis=1, keepdims=True)
+    assert (np.abs(pair.m(X) - M) <= tol).all() and (np.abs(pair.n(X) - (X - M)) <= tol).all()
 
 
 def test_the_polar_of_a_halfspace_cone_does_not_depend_on_its_listing():
@@ -204,6 +201,81 @@ def test_the_polar_of_a_halfspace_cone_does_not_depend_on_its_listing():
     for r, y in zip(residuals[1:], images[1:]):
         np.testing.assert_allclose(r, residuals[0], rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(y, images[0], rtol=0.0, atol=1e-14)
+
+
+def _skew_basis(d, s):
+    B = np.eye(d)
+    B[0, 1] = s
+    return B
+
+
+@pytest.mark.parametrize("d, s", [(3, 0.3), (6, 2.0), (8, -0.5)])
+def test_membership_residual_does_not_depend_on_the_form(d, s):
+    # One cone, written four ways: its residual is the largest violation of a
+    # unit inward facet normal, and a generator cone's facet normals are its
+    # polar's negated rays, so the forms agree to rounding of those normals.
+    B = _skew_basis(d, s)
+    N = np.linalg.inv(B)
+    forms = [PolyhedralGenerators(B.T), PolyhedralGenerators(np.vstack([B.T, B.T.sum(axis=0)])),
+             PolyhedralHalfspaces(N),
+             PolyhedralHalfspaces(3.0 * N[np.random.default_rng(d).permutation(d)])]
+    X = gaussian_points(rng_for(d, "form-residuals"), 1000, d)
+    residuals = [cone.membership_residual(X) for cone in forms]
+    for r in residuals[1:]:
+        np.testing.assert_allclose(r, residuals[0], rtol=0.0, atol=np.finfo(float).eps)
+    # A redundant generator leaves the ray matrix, and so the facets.
+    assert residuals[1].tobytes() == residuals[0].tobytes()
+
+
+def test_generator_and_halfspace_golden_reports_agree():
+    # verify-generators-moreau and verify-halfspaces-moreau hold one cone in
+    # two forms: every number of their reports agrees to 1e-15 relative to
+    # max(1, |number|), the scale the residuals are relative to.
+    golden = Path(__file__).parent / "golden"
+
+    def numbers(obj):
+        if isinstance(obj, dict):
+            return [v for key in sorted(obj) for v in numbers(obj[key])]
+        if isinstance(obj, list):
+            return [v for item in obj for v in numbers(item)]
+        return [obj]
+
+    for seed in (1, 2):
+        a, b = (numbers(json.loads((golden / f"verify-{form}-moreau-seed{seed}.json")
+                                   .read_text())["reports"])
+                for form in ("generators", "halfspaces"))
+        assert [type(v) for v in a] == [type(v) for v in b]
+        for u, v in zip(a, b):
+            if isinstance(u, float):
+                assert abs(u - v) <= 1e-15 * max(1.0, abs(u)), (seed, u, v)
+            else:
+                assert u == v
+
+
+def test_generator_membership_reads_no_face_table(monkeypatch):
+    cone = PolyhedralGenerators(_skew_basis(4, 0.3).T)
+    moreau_pair(cone)  # builds the rays, the polar and both face tables
+    projections = []
+    project = FaceTable.project
+
+    def counting_project(self, points):
+        projections.append(len(points))
+        return project(self, points)
+
+    monkeypatch.setattr(FaceTable, "project", counting_project)
+    X = gaussian_points(rng_for(1, "membership-no-table"), 100, 4)
+    cone.membership_residual(X)
+    cone.membership_residual(X[0])
+    assert projections == []
+
+
+def test_generator_form_builds_a_moreau_pair_above_dimension_ten():
+    # Ray enumeration has no dimension cap, so a generator cone of R^11 finds
+    # its polar's rays, and its Moreau verdicts are the simplicial form's.
+    B = np.eye(11) + 0.3 * np.eye(11, k=1)
+    verdicts = [{r.property_id: r.verdict for r in run_catalogue(moreau_pair(cone), 100, 1)}
+                for cone in (Simplicial(B), PolyhedralGenerators(B.T))]
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize("delta", [1e-1, 1e-6, 1e-10])
