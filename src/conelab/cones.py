@@ -472,9 +472,9 @@ class Orthant(Simplicial):
             raise ValueError(f"orthant dimension must be in 1..{MAX_DENSE_DIM}")
         Simplicial.__init__(self, np.eye(ambient_dim))
 
-    def membership_residual(self, x):
-        # The coordinates are x itself, so clamp without the basis product.
-        return self._residual(lambda X: np.maximum(0.0, -_row_min(X)), x)
+    # Bound here, not inherited: perfbench/spans.py wraps each cone class's
+    # own membership_residual.
+    membership_residual = ConeSpec._facet_residual
 
     def to_json(self):
         return {"type": "orthant", "dim": self.dim}
@@ -610,14 +610,13 @@ class PolyhedralHalfspaces(ConeSpec):
 
     @functools.cached_property
     def _rays(self):
-        """Extreme rays in canonical order (see :meth:`generators`), then
-        lineality pairs, by one double description of the canonical normals;
-        built once, read-only, and the same for any listing of the normals."""
-        N = _canonical_rows(self.normals)
-        R = np.reshape(oracle.double_description(N), (-1, self.dim))
-        # The lineality pairs come last, by the double description's own rank test.
-        rays = len(R) - 2 * (self.dim - oracle._row_space(oracle._unit_rows(N))[0])
-        return _readonly(np.vstack([_canonical_rows(R[:rays]), R[rays:]]))
+        """Extreme rays in canonical order (see :meth:`generators`), then a
+        +/- pair per lineality row, from one double description of the
+        canonical normals; built once, read-only, and the same for any
+        listing of the normals."""
+        rays, lines = oracle.double_description(_canonical_rows(self.normals))
+        pairs = np.stack([lines, -lines], axis=1).reshape(-1, self.dim)
+        return _readonly(np.vstack([_canonical_rows(rays), pairs]))
 
     @functools.cached_property
     def _facets(self):

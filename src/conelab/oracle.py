@@ -71,13 +71,6 @@ def _subsets(k, size):
     return S
 
 
-def _row_space(Bn):
-    """(numerical rank, right singular vectors) of the unit normals ``Bn``:
-    :func:`double_description` appends one lineality pair per rank they lack."""
-    _, sv, Vt = np.linalg.svd(Bn, full_matrices=True)
-    return int(np.sum(sv > sv[0] * _RANK_RTOL)), Vt
-
-
 @dataclass(frozen=True)
 class ProjectionCertificate:
     """Certified nearest point of a finitely generated cone.
@@ -287,11 +280,14 @@ def conic_feasibility(generators, x, eps=1e-8):
 
 
 def double_description(halfspaces):
-    """Extreme rays of ``{x : n_j . x >= 0 for all j}`` by active-set enumeration.
+    """Extreme rays and lineality space of ``{x : n_j . x >= 0 for all j}``.
 
-    Lineality (the cone is not pointed) is reported as explicit +/- line
-    pairs appended after the extreme rays.  All returned directions have
-    unit norm.
+    Each independent (r - 1)-subset of the unit normals (r their rank) gives
+    a null direction d in their row space; d, then -d, is a candidate.  One
+    slack matrix of candidates by normals decides admission (no slack below
+    -1e-9) and identity: admitted candidates on which the same normals are
+    tight (slack at most 1e-9) are one ray, and the first is kept (Motzkin
+    et al. 1953; Fukuda & Prodon 1996).
 
     Parameters
     ----------
@@ -300,26 +296,19 @@ def double_description(halfspaces):
 
     Returns
     -------
-    list of ndarray
-        Unit extreme rays, then +/- pairs spanning the lineality space.
+    rays : ndarray, shape (n, m)
+        Unit extreme rays of the cone's pointed part, in candidate order.
+    lineality : ndarray, shape (m - r, m)
+        Orthonormal rows spanning the lineality space, the complement of
+        the normals' row space.
     """
     B = _as_generator_matrix(halfspaces, max_rows=MAX_DD_HALFSPACES)
     k, m = B.shape
     Bn = _unit_rows(B)
-
-    r, Vt = _row_space(Bn)
-    lines = [Vt[i] for i in range(r, m)]
+    _, sv, Vt = np.linalg.svd(Bn, full_matrices=True)
+    r = int(np.sum(sv > sv[0] * _RANK_RTOL))
     Q = Vt[:r].T                        # (m, r) row-space basis
     Br = Bn @ Q                         # (k, r), full column rank
-
-    rays_reduced = []
-
-    def _push(d):
-        for kept in rays_reduced:
-            if np.linalg.norm(kept - d) <= 1e-9:
-                return
-        rays_reduced.append(d)
-
     if r == 1:
         D = np.ones((1, 1))
     else:
@@ -327,20 +316,14 @@ def double_description(halfspaces):
         _, sa, Va = np.linalg.svd(Br[S], full_matrices=True)
         rank = (sa > sa[:, :1] * _RANK_RTOL).sum(axis=1)
         D = Va[rank == r - 1, -1]  # null direction of each independent subset
-    # Each admitted direction, then its negation, in that order; -F is exact for -d.
+    # Each direction, then its negation; -F is exact for -d.
     F = D @ Br.T
-    plus, minus = (F >= -_FEAS_TOL).all(axis=1), (-F >= -_FEAS_TOL).all(axis=1)
-    for i in np.flatnonzero(plus | minus):
-        if plus[i]:
-            _push(D[i])
-        if minus[i]:
-            _push(-D[i])
-    out = [Q @ d for d in rays_reduced]
-    out = [v / np.linalg.norm(v) for v in out]
-    for line in lines:
-        out.append(line.copy())
-        out.append(-line)
-    return out
+    C, F = np.stack([D, -D], axis=1).reshape(-1, r), np.stack([F, -F], axis=1).reshape(-1, k)
+    admitted = np.flatnonzero((F >= -_FEAS_TOL).all(axis=1))
+    tight = (F[admitted] <= _FEAS_TOL) @ (1 << np.arange(k))  # the tight set as k bits
+    first = np.sort(np.unique(tight, return_index=True)[1])
+    rays = [Q @ d for d in C[admitted[first]]]  # one product a ray, as a batch rounds otherwise
+    return np.array([v / np.linalg.norm(v) for v in rays]).reshape(-1, m), Vt[r:]
 
 
 # Rows generate the planar cone {(a, b) : |a| <= b}, the two-dimensional

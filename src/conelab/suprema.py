@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Simplicial, as_vector, leq
+from .cones import Simplicial, as_vector
 from .properties import _Check, _sup_commutes, sup_m
 # cone_members is unused here, but perfbench/spans.py wraps
 # suprema.cone_members along with suprema.gaussian_points.
@@ -98,10 +98,12 @@ def closed_form_sup(cone, u, v):
     return cone.basis @ np.maximum(cu, cv)
 
 
-def _violated(cone, eps, chain):
+def _violated(cone, eps, chain, e):
     """Whether some (lo, hi) of ``chain`` has a membership residual of
-    hi - lo above ``eps``; the pairs are tested in order, up to the first."""
-    return any(float(cone.membership_residual(hi - lo)) > eps for lo, hi in chain)
+    (hi - lo) 2^-e above ``eps``, so relative to 2^e + |hi - lo|; the pairs
+    are tested in order, up to the first."""
+    return any(float(cone.membership_residual(np.ldexp(hi - lo, -e))) > eps
+               for lo, hi in chain)
 
 
 def iterative_sup(pair, u, v, max_iter=100):
@@ -113,8 +115,9 @@ def iterative_sup(pair, u, v, max_iter=100):
     Each step is validated against the order: iterates must increase and
     stay below the scaffold bound m(u) + m(v); a violation ends the run
     with status ``diverged`` (the pair does not behave like a lattice
-    retraction).  Outside [2^-300, 2^300] (the largest entry of u and v),
-    norms are taken at one exact power-of-two scale, so they stay finite.
+    retraction).  Norms, order checks and contracts are taken in units of
+    2^e, the scale of the largest entry of u and v: exact, so the norms stay
+    finite, and a rounding-level difference reads as rounding at any scale.
 
     Returns a :class:`SupTrace`; on convergence the result is checked to be
     an upper bound of {u, v} and below the scaffold bound, recorded in the
@@ -124,18 +127,16 @@ def iterative_sup(pair, u, v, max_iter=100):
         raise ValueError("max_iter must be >= 1")
     u, v = as_vector(u, pair.dim), as_vector(v, pair.dim)
     tol, cone, eps = pair.tol, pair.cone_m, 10.0 * pair.tol.eps_membership
-    # Norms are read in units of 2^e (1 is ``one``, finite as e >= -1021); the
-    # margin to 2^±512, where squares over- or underflow, lets iterates grow.
-    top = max(map(abs, u.tolist() + v.tolist()))
-    e = 0 if top == 0.0 or 2.0 ** -300 <= top <= 2.0 ** 300 else max(math.frexp(top)[1], -1021)
+    # Norms are read in units of 2^e (1 is ``one``, finite as e >= -1021).
+    e = max(math.frexp(max(map(abs, u.tolist() + v.tolist())))[1], -1021)
     one = math.ldexp(1.0, -e)
 
     def norm(x):
-        return float(np.linalg.norm(x if e == 0 else np.ldexp(x, -e)))
+        return float(np.linalg.norm(np.ldexp(x, -e)))
 
     w = pair.m(u) + pair.m(v)
     u_its, v_its, gaps = [sup_m(pair, v, u)], [], []
-    status = DIVERGED if _violated(cone, eps, [(u, u_its[0]), (u_its[0], w)]) else MAX_ITER
+    status = DIVERGED if _violated(cone, eps, [(u, u_its[0]), (u_its[0], w)], e) else MAX_ITER
     while status == MAX_ITER and len(v_its) < max_iter:
         u_k, prev_v = u_its[-1], v_its[-1] if v_its else v
         v_its.append(v_k := sup_m(pair, u_k, v))
@@ -143,7 +144,7 @@ def iterative_sup(pair, u, v, max_iter=100):
         g_uv, g_uu = norm(u_next - v_k), norm(u_next - u_k)
         gaps.append((math.ldexp(g_uv, e), math.ldexp(g_uu, e)))
         limit = tol.eps_converge * (one + norm(u_k))
-        if _violated(cone, eps, [(u_k, u_next), (prev_v, v_k), (u_next, w), (v_k, w)]):
+        if _violated(cone, eps, [(u_k, u_next), (prev_v, v_k), (u_next, w), (v_k, w)], e):
             status = DIVERGED
         elif g_uv <= limit and g_uu <= limit:
             status = CONVERGED
@@ -152,8 +153,9 @@ def iterative_sup(pair, u, v, max_iter=100):
                      upper_bound_used=w, iterations=len(v_its))
     if status == CONVERGED:
         result = trace.result = u_its[-1].copy()
-        trace.result_is_upper_bound = bool(leq(cone, u, result, tol) and leq(cone, v, result, tol))
-        trace.result_below_scaffold = bool(leq(cone, result, w, tol))
+        trace.result_is_upper_bound = not _violated(cone, tol.eps_membership,
+                                                    [(u, result), (v, result)], e)
+        trace.result_below_scaffold = not _violated(cone, tol.eps_membership, [(result, w)], e)
         fp = max(norm(sup_m(pair, result, u) - result), norm(sup_m(pair, result, v) - result))
         trace.fixed_point_residual = fp / (one + norm(result))
     return trace

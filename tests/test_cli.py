@@ -524,6 +524,20 @@ _BAD_CONFIGS = st.one_of(
     "type": "halfspaces", "normals": [[float("nan"), 0.0], [0.0, 1.0]]}}}))
 @example(case=("sup", dict(_SUP_CONFIG, u=[float("inf"), 0.0])))
 @example(case=("verify", {"pair": {"family": "moreau", "cone": {"type": [], "dim": 2}}}))
+# One raise site each that no other tier-1 test reaches.
+@example(case=("verify", {"samples": 20}))  # neither a pair nor --pair
+@example(case=("sup", {"pair": _LATTICE_2, "v": [0.0, 1.0]}))  # no u
+@example(case=("demo", {"name": "nope"}))
+@example(case=("verify", {"pair": _LATTICE_2, "samples": 20, "tolerances": 1e-8}))
+@example(case=("verify", {"pair": _LATTICE_2, "samples": 20, "tolerances": {"x": 1}}))
+@example(case=("sup", dict(_SUP_CONFIG, u=[[1.0, 0.0]])))  # u is not a vector
+@example(case=("verify", {"pair": {"family": "moreau", "cone": {
+    "type": "simplicial", "basis": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}}}))  # 2 columns in R^3
+@example(case=("verify", {"pair": {"family": "moreau", "cone": {
+    "type": "simplicial", "basis": [[float("nan"), 0.0], [0.0, 1.0]]}}}))
+@example(case=("verify", {"pair": {"family": "moreau", "cone": {"type": "lorentz", "dim": 1}}}))
+@example(case=("verify", {"pair": {"family": "moreau",
+                                   "cone": {"type": "simplicial", "basis": [1.0, 2.0]}}}))
 def test_generated_bad_configs_exit_two(case):
     command, config = case
     out, err = io.StringIO(), io.StringIO()

@@ -204,6 +204,24 @@ def test_negate():
     assert contains(NL, [0.0, 0.0, -1.0])
 
 
+@pytest.mark.parametrize("d,s", [(3, 0.3), (6, 2.0), (8, -0.5)])
+def test_negative_of_polyhedral_cones(d, s):
+    # -K holds -x exactly where K holds x, with the same residual: bit for
+    # bit for the halfspace form, whose normals are negated; to rounding for
+    # the generator form, whose facets come from their own double description.
+    B = np.eye(d) + s * np.outer(np.eye(d)[0], np.eye(d)[1])
+    X = gaussian_points(rng_for(d, "negative"), 1000, d)
+    for cone in (PolyhedralGenerators(B.T), PolyhedralHalfspaces(B)):
+        neg = cone.negative()
+        assert type(neg) is type(cone)
+        np.testing.assert_allclose(neg.membership_residual(-X), cone.membership_residual(X),
+                                   rtol=0.0, atol=4.4e-16)
+        back = cone_from_json(neg.to_json())
+        assert type(back) is type(cone) and back.to_json() == neg.to_json()
+    halfspaces = PolyhedralHalfspaces(B)
+    _same_bits(halfspaces.negative().membership_residual(-X), halfspaces.membership_residual(X))
+
+
 def test_sample_simplicial_determinism_and_cond():
     a = sample_simplicial(2, 42)
     b = sample_simplicial(2, 42)
@@ -297,6 +315,21 @@ def test_orthant_is_identity_basis_simplicial(d):
     _same_bits(orth.polar().basis, -np.eye(d))
     _same_bits(orth.generators(), np.eye(d))
     assert orth.to_json() == {"type": "orthant", "dim": d}
+
+
+@pytest.mark.parametrize("d", [1, 4, 16])
+def test_orthant_residual_has_the_simplicial_bits_sign_included(d):
+    # Both forms read the shared facet residual, so a point on the boundary,
+    # whose smallest coordinate is +0.0 or -0.0, gets +0.0 from either.
+    orth, simp = Orthant(d), Simplicial(np.eye(d))
+    boundary = np.array([[0.0] * (d - 1) + [1.0], [1.0] * (d - 1) + [0.0],
+                         [-0.0] * d, [0.0] * d, [1.0] * (d - 1) + [-0.0]])
+    X = np.vstack([gaussian_points(rng_for(d, "orthant-sign"), 1000, d), boundary])
+    for batch in (X, X[:63], boundary):
+        _same_bits(orth.membership_residual(batch), simp.membership_residual(batch))
+    for x in boundary:
+        r = orth.membership_residual(x)
+        assert r == simp.membership_residual(x) == 0.0 and not np.signbit(r)
 
 
 _FOLD_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e-324, -5e-324])

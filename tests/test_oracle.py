@@ -47,13 +47,14 @@ def test_generator_caps():
 
 
 def test_double_description_orthant():
-    rays = double_description(np.eye(2))
+    rays, lines = double_description(np.eye(2))
+    assert lines.shape == (0, 2)
     rays = sorted(tuple(np.round(r, 9)) for r in rays)
     assert rays == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_double_description_wedge():
-    rays = double_description(np.array([[1.0, 0.0], [-1.0, 1.0]]))
+    rays, _ = double_description(np.array([[1.0, 0.0], [-1.0, 1.0]]))
     assert len(rays) == 2
     normals = np.array([[1.0, 0.0], [-1.0, 1.0]])
     for r in rays:
@@ -64,12 +65,27 @@ def test_double_description_wedge():
 
 
 def test_double_description_lineality():
-    out = double_description(np.array([[1.0, 0.0]]))
-    # one extreme ray plus an explicit +/- line pair
-    assert len(out) == 3
-    rounded = {tuple(np.round(r, 9)) for r in out}
-    assert (1.0, 0.0) in rounded
-    assert (0.0, 1.0) in rounded and (0.0, -1.0) in rounded
+    rays, lines = double_description(np.array([[1.0, 0.0]]))
+    # one extreme ray, and the line x_1 = 0 as the lineality space
+    assert np.array_equal(rays, [[1.0, 0.0]])
+    assert lines.shape == (1, 2) and np.array_equal(np.abs(lines), [[0.0, 1.0]])
+
+
+def test_double_description_merges_candidates_by_tight_set():
+    # The cone |x_1| + |x_2| + |x_3| <= x_4 over the octahedron: 8 facets, 6
+    # rays, and each ray is tight on 4 normals, any 3 of them independent, so
+    # it is found from 4 subsets and kept once.
+    N = np.array([s + (1.0,) for s in itertools.product([1.0, -1.0], repeat=3)])
+    rays, lines = double_description(N)
+    assert rays.shape == (6, 4) and lines.shape == (0, 4)
+    expected = {tuple(np.round(s * np.eye(4)[i] + np.eye(4)[3], 9)) for i in range(3)
+                for s in (1.0, -1.0)}
+    assert {tuple(np.round(r * np.sqrt(2.0), 9)) for r in rays} == expected
+    for ray in rays:
+        tight = np.flatnonzero(np.abs(N @ ray) <= 1e-9)
+        assert len(tight) == 4
+        assert all(np.linalg.matrix_rank(N[list(S)]) == 3
+                   for S in itertools.combinations(tight, 3))
 
 
 def test_double_description_caps():
@@ -299,7 +315,8 @@ def test_double_description_matches_per_subset_reference(k, m, redundant):
         Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
         B = Q.T * rng.uniform(0.5, 2.0, (m, 1))
         N = np.vstack([B, rng.uniform(0.2, 1.0, (redundant, m)) @ B])
-    rays = double_description(N)
+    rays, lines = double_description(N)
+    assert lines.shape == (0, m)
     reference = _reference_rays(N)
     assert len(rays) == len(reference)
     assert all(np.array_equal(a, b) for a, b in zip(rays, reference))
@@ -307,18 +324,18 @@ def test_double_description_matches_per_subset_reference(k, m, redundant):
 
 def test_double_description_of_huge_and_tiny_normals():
     for big in (1e200, 1e308, 1e-200, 1e-320):
-        rays = double_description([[big, 0.0], [0.0, 1.0]])
+        rays, _ = double_description([[big, 0.0], [0.0, 1.0]])
         assert sorted(map(tuple, rays)) == [(0.0, 1.0), (1.0, 0.0)]
     rng = rng_for(5, "dd-scales")
     N = rng.standard_normal((7, 4))
     N[:, -1] = np.abs(N[:, -1]) + 0.5
-    rays = double_description(N)
+    rays, _ = double_description(N)
     assert len(rays) >= 4
     for k in range(-990, 991, 45):
         for scaled in (np.ldexp(N, k), np.ldexp(N, rng.integers(-abs(k), abs(k) + 1, (7, 1)))):
-            out = double_description(scaled)
+            out, _ = double_description(scaled)
             assert len(out) == len(rays) and all(np.array_equal(a, b) for a, b in zip(out, rays))
-            assert (_unit_rows(scaled) @ np.array(out).T >= -1e-9).all()
+            assert (_unit_rows(scaled) @ out.T >= -1e-9).all()
 
 
 def test_face_table_of_huge_and_tiny_generators():

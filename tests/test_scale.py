@@ -116,20 +116,14 @@ SUP_CASES = {
     "lattice-orthant": (lattice_pair(Orthant(3)), [0.9, -1.7, 0.4], [-0.6, 0.3, 1.2]),
     "lattice-skew": (PAIRS["lattice-skew"], [0.9, -1.7, 0.4], [-0.6, 0.3, 1.2]),
 }
-# iterative_sup's order checks read the membership residual of hi - lo,
-# relative to 1 + |hi - lo|.  On the skew cone w - u1 is rounding noise, so
-# from about 2^24 its residual is noise over noise and the run diverges.
-_SKEW_SUP = pytest.param(
-    "lattice-skew", marks=pytest.mark.xfail(
-        strict=True, reason="order-check residual is relative to 1 + |hi - lo|"))
 
 
 @pytest.mark.parametrize("k", [300, 600, 1000])
-@pytest.mark.parametrize("name", ["moreau-lorentz-3", "lattice-orthant", _SKEW_SUP])
+@pytest.mark.parametrize("name", list(SUP_CASES))
 def test_sup_trace_scales_exactly(name, k):
-    # Outside [2^-300, 2^300] iterative_sup takes its norms at one power of
-    # two, so a trace scaled by 2^k has every iterate and gap of the unscaled
-    # one times 2^k, bit for bit.
+    # iterative_sup takes its norms and order checks in units of the largest
+    # entry's power of two, so a trace scaled by 2^k has every iterate and
+    # gap of the unscaled one times 2^k, bit for bit.
     pair, u, v = SUP_CASES[name]
     base = suprema.iterative_sup(pair, u, v)
     tr = suprema.iterative_sup(pair, np.ldexp(u, k), np.ldexp(v, k))
@@ -155,3 +149,16 @@ def test_sup_trace_json_is_strict(name, k):
         warnings.simplefilter("error", RuntimeWarning)
         tr = suprema.iterative_sup(pair, np.ldexp(u, k), np.ldexp(v, k))
     json.dumps(tr.to_json_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("k", [0, 24, 32, 200])
+def test_skew_lattice_sup_converges_at_every_scale(k):
+    # An order check's residual is relative to the scale of u and v, not to
+    # 1 + |hi - lo|: a difference that is rounding noise of u and v, such as
+    # w - u1 on the skew cone, reads as rounding at any scale.
+    pair = PAIRS["lattice-skew"]
+    rng = np.random.default_rng(k)
+    for _ in range(100):
+        u, v = np.ldexp(rng.standard_normal((2, 3)), k)
+        tr = suprema.iterative_sup(pair, u, v)
+        assert tr.status == suprema.CONVERGED and tr.certified
