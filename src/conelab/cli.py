@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 
 from . import properties
-from .cones import ToleranceConfig, _as_int, _relative, as_vector, cone_from_json
+from .cones import (ToleranceConfig, _as_int, _json_object, _relative, as_vector,
+                    cone_from_json)
 from .properties import PASS, catalogue_for, run_catalogue
 from .retractions import moreau_pair, pair_from_json
 from .sampling import gaussian_points, rng_for
@@ -34,52 +35,40 @@ _DEFAULT_PAIRS = {
                   "interior_point": [1.0, 1.0, 1.0]},
 }
 
-_DEMO_NAMES = ("lex", "minkowski", "moreau-subadd")
+# The config key each flag fills, where it is not the flag's own name.
+_FLAG_KEYS = {"out": "output", "tol": "tolerances"}
 
 
-def _load_config(path, command):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValueError("config must be a JSON object")
-    spec = _COMMANDS[command]
-    allowed = _COMMON_KEYS | spec.keys | ({"samples", "seed"} if spec.samples else set())
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
-    declared = obj.get("command")
-    if declared is not None and declared != command:
-        raise ValueError(f"config declares command {declared!r}, invoked as {command!r}")
-    return obj
+def _inputs(args):
+    """The run's one input object: the config, with each flag that was given
+    in place of its key (``--tol`` as all three tolerances) and the pair of
+    ``--pair`` where the config has none, checked against the keys that the
+    command, or for ``demo`` the demo of that name, reads."""
+    config = {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+        _json_object(config, "config", optional=None)
+    declared = config.get("command", args.command)
+    if declared != args.command:
+        raise ValueError(f"config declares command {declared!r}, invoked as {args.command!r}")
+    flags = {_FLAG_KEYS.get(dest, dest): value for dest, value in vars(args).items()
+             if value is not None and dest not in ("command", "config", "pair")}
+    if "tolerances" in flags:
+        flags["tolerances"] = dict.fromkeys(ToleranceConfig().to_json_dict(), flags["tolerances"])
+    inputs = {**config, **flags}
+    if getattr(args, "pair", None) is not None:
+        inputs.setdefault("pair", _DEFAULT_PAIRS[args.pair])
+    spec = _COMMANDS[args.command]
+    _json_object(inputs, args.command, spec.required, _COMMON_KEYS + spec.optional,
+                 tag=spec.tag, kinds=spec.kinds)
+    return inputs
 
 
-def _tolerances(config, args):
-    if args.tol is not None:
-        return ToleranceConfig(eps_membership=args.tol, eps_equal=args.tol,
-                               eps_converge=args.tol)
-    if "tolerances" in config:
-        return ToleranceConfig.from_json(config["tolerances"])
-    return ToleranceConfig()
-
-
-def _pair(config, args, tol):
-    """The pair of the config, else the built-in pair named by --pair."""
-    descriptor = config.get("pair")
-    if descriptor is None:
-        if args.pair is None:
-            raise ValueError(f"{args.command} needs --config with a 'pair' entry "
-                             "or --pair FAMILY")
-        descriptor = _DEFAULT_PAIRS[args.pair]
-    return pair_from_json(descriptor, tol=tol)
-
-
-def _samples_seed(config, args):
-    """Sample count (>= 1) and seed (>= 0); the command line wins over the config."""
-    samples = args.samples if args.samples is not None else config.get("samples", 1000)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    return _as_int(samples, "samples", 1), _as_int(seed, "seed", 0)
+def _samples_seed(inputs):
+    """Sample count (>= 1) and seed (>= 0), by default 1000 and 0."""
+    return (_as_int(inputs.get("samples", 1000), "samples", 1),
+            _as_int(inputs.get("seed", 0), "seed", 0))
 
 
 def _dump_json(obj):
@@ -104,9 +93,9 @@ def _human_verify(report):
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(config, args, tol):
-    pair = _pair(config, args, tol)
-    samples, seed = _samples_seed(config, args)
+def cmd_verify(inputs, tol):
+    pair = pair_from_json(inputs["pair"], tol=tol)
+    samples, seed = _samples_seed(inputs)
     reports = run_catalogue(pair, n_samples=samples, seed=seed)
     ok = all(r.verdict == PASS for r in reports)
     report = {"command": "verify", "pair": pair.descriptor(), "samples": samples,
@@ -125,14 +114,11 @@ def _human_sup(trace):
     return "\n".join(lines) + "\n"
 
 
-def cmd_sup(config, args, tol):
-    pair = _pair(config, args, tol)
-    if "u" not in config or "v" not in config:
-        raise ValueError("sup config must provide vectors 'u' and 'v'")
-    u = as_vector(config["u"], pair.dim)
-    v = as_vector(config["v"], pair.dim)
-    max_iter = _as_int(args.max_iter if args.max_iter is not None
-                       else config.get("max_iter", 100), "max_iter", 1)
+def cmd_sup(inputs, tol):
+    pair = pair_from_json(inputs["pair"], tol=tol)
+    u = as_vector(inputs["u"], pair.dim)
+    v = as_vector(inputs["v"], pair.dim)
+    max_iter = _as_int(inputs.get("max_iter", 100), "max_iter", 1)
     trace = iterative_sup(pair, u, v, max_iter=max_iter)
     report = {"command": "sup", "pair": pair.descriptor(),
               "u": u.tolist(), "v": v.tolist(),
@@ -143,6 +129,8 @@ def cmd_sup(config, args, tol):
 
 def _demo_minkowski(samples, seed, tol, descriptor):
     pair = pair_from_json(descriptor, tol=tol)
+    if pair.family != "minkowski":
+        raise ValueError(f"demo minkowski needs a minkowski pair, got family {pair.family!r}")
     reports = [properties.check_mutual_polarity(pair, samples, seed),
                properties.check_subadditive(pair, "m", samples, seed)]
     generating = pair.cone_m.is_generating()
@@ -193,29 +181,19 @@ def _demo_moreau_subadd(samples, seed, tol):
     return {"table": rows}, ok
 
 
-def cmd_demo(config, args, tol):
-    name = args.name or config.get("name")
-    if name not in _DEMO_NAMES:
-        raise ValueError(f"unknown demo: {name!r} (choose from {', '.join(_DEMO_NAMES)})")
-    if "pair" in config and name != "minkowski":
-        raise ValueError(f"demo {name} reads no 'pair'; only demo minkowski does")
+def cmd_demo(inputs, tol):
+    name = inputs["name"]
     if name == "lex":
         # lex_demo compares exact sequences exactly: it draws nothing and
         # reads no tolerance.
-        given = ([key for key in ("samples", "seed", "tolerances") if key in config]
-                 + [f"--{flag}" for flag in ("samples", "seed", "tol")
-                    if getattr(args, flag) is not None])
-        if given:
-            raise ValueError(f"demo lex reads no samples, seed or tolerances, "
-                             f"got {', '.join(given)}")
         body = lex_demo()
         ok = bool(body["certified"])
         report = {}
     else:
-        samples, seed = _samples_seed(config, args)
+        samples, seed = _samples_seed(inputs)
         if name == "minkowski":
             body, ok = _demo_minkowski(samples, seed, tol,
-                                       config.get("pair") or _DEFAULT_PAIRS["minkowski"])
+                                       inputs.get("pair", _DEFAULT_PAIRS["minkowski"]))
         else:
             body, ok = _demo_moreau_subadd(samples, seed, tol)
         report = {"samples": samples, "seed": seed, "tolerances": tol.to_json_dict()}
@@ -225,11 +203,11 @@ def cmd_demo(config, args, tol):
     return ok, {"json": lambda: _dump_json(report), "human": lambda: human + _dump_json(body)}
 
 
-def cmd_batch(config, args, tol):
-    pairs = config.get("pairs")
+def cmd_batch(inputs, tol):
+    pairs = inputs["pairs"]
     if not isinstance(pairs, list) or not pairs:
         raise ValueError("batch config must provide a non-empty 'pairs' list")
-    samples, seed = _samples_seed(config, args)
+    samples, seed = _samples_seed(inputs)
     entries = []
     for descriptor in pairs:
         pair = pair_from_json(descriptor, tol=tol)
@@ -244,37 +222,52 @@ def cmd_batch(config, args, tol):
     return ok, {"json": lambda: _dump_json(report)}
 
 
-_COMMON_KEYS = {"command", "tolerances", "output", "format"}
+_COMMON_KEYS = ("command", "output", "format")
+
+# The config keys each demo reads besides the common ones: lex draws nothing
+# and reads no tolerance.
+_DEMOS = {
+    "lex": ((), ()),
+    "minkowski": ((), ("samples", "seed", "tolerances", "pair")),
+    "moreau-subadd": ((), ("samples", "seed", "tolerances")),
+}
 
 
 @dataclass(frozen=True)
 class _Command:
-    """A command's inputs.  ``samples`` adds --samples, --seed and their
-    config keys; ``arguments`` are (flags, add_argument keywords) pairs.
-    ``run(config, args, tol)`` returns the verdict and a renderer per format."""
+    """A command's inputs: the config keys it needs and may read besides the
+    common ones (or, with a ``tag``, the keys of each of its ``kinds``);
+    ``samples`` adds --samples and --seed; ``arguments`` are (flags,
+    add_argument keywords) pairs.  ``run(inputs, tol)`` returns the verdict
+    and a renderer per format."""
 
     run: Callable
     help: str
-    keys: frozenset
+    required: tuple
+    optional: tuple
     formats: tuple
     pair: bool = False
     samples: bool = False
     arguments: tuple = ()
+    tag: str | None = None
+    kinds: dict | None = None
 
 
 _COMMANDS = {
     "verify": _Command(cmd_verify, "run the applicable property catalogue",
-                       frozenset({"pair"}), ("json", "human"), pair=True, samples=True),
+                       ("pair",), ("samples", "seed", "tolerances"), ("json", "human"),
+                       pair=True, samples=True),
     "sup": _Command(cmd_sup, "iterate the pairwise supremum construction",
-                    frozenset({"pair", "u", "v", "max_iter"}), ("json", "csv", "human"),
+                    ("pair", "u", "v"), ("max_iter", "tolerances"), ("json", "csv", "human"),
                     pair=True,
                     arguments=((("--max-iter",), {"dest": "max_iter", "type": int,
                                                   "help": "iteration cap (default 100)"}),)),
-    "demo": _Command(cmd_demo, "run a built-in demonstration",
-                     frozenset({"name", "pair"}), ("json", "human"), samples=True,
-                     arguments=((("name",), {"nargs": "?", "choices": _DEMO_NAMES}),)),
+    "demo": _Command(cmd_demo, "run a built-in demonstration", (), (), ("json", "human"),
+                     samples=True,
+                     arguments=((("name",), {"nargs": "?", "choices": tuple(_DEMOS)}),),
+                     tag="name", kinds=_DEMOS),
     "batch": _Command(cmd_batch, "verify a list of pair descriptors",
-                      frozenset({"pairs"}), ("json",), samples=True),
+                      ("pairs",), ("samples", "seed", "tolerances"), ("json",), samples=True),
 }
 
 
@@ -311,19 +304,19 @@ def _parser():
 
 
 def _run(args):
-    """Load the config, check the format, build the tolerances, run the
-    command and write its report; returns the exit code."""
+    """Build the run's inputs, check the format, build the tolerances, run
+    the command and write its report; returns the exit code."""
+    inputs = _inputs(args)
     spec = _COMMANDS[args.command]
-    config = _load_config(args.config, args.command)
-    fmt = args.format or config.get("format", "json")
+    fmt = inputs.get("format", "json")
     if fmt not in spec.formats:
         raise ValueError(f"{args.command} writes {', '.join(spec.formats)} reports, "
                          f"not format {fmt!r}")
-    out = args.out or config.get("output")
+    out = inputs.get("output")
     if out is not None and not isinstance(out, str):
         raise ValueError(f"output must be a path string, got {out!r}")
-    tol = _tolerances(config, args)
-    ok, renderers = spec.run(config, args, tol)
+    tol = ToleranceConfig.from_json(inputs.get("tolerances", {}))
+    ok, renderers = spec.run(inputs, tol)
     text = renderers[fmt]()
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -343,7 +336,3 @@ def main(argv=None):
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -59,11 +59,7 @@ class ToleranceConfig:
 
     @staticmethod
     def from_json(obj):
-        if not isinstance(obj, dict):
-            raise ValueError("tolerances must be a JSON object")
-        unknown = set(obj) - {"membership", "equal", "converge"}
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+        _json_object(obj, "tolerances", optional=("membership", "equal", "converge"))
         return ToleranceConfig(**{f"eps_{key}": value for key, value in obj.items()})
 
 
@@ -106,6 +102,37 @@ def _as_int(x, name, minimum=None):
     if minimum is not None and x < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {x}")
     return int(x)
+
+
+def _json_object(obj, what, required=(), optional=(), *, tag=None, kinds=None):
+    """Check ``obj`` as a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional`` (any key when ``optional`` is None).
+    With a ``tag``, its value must be a key of ``kinds``, which gives the
+    (required, optional) keys that kind adds; that kind is returned."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    kind = None
+    if tag is not None:
+        kind = obj.get(tag)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValueError(f"unknown {what} {tag}: {kind!r} (choose from {', '.join(kinds)})")
+        what = f"{what} {tag} {kind}"
+        required, optional = (tag, *required, *kinds[kind][0]), (*optional, *kinds[kind][1])
+    if optional is not None:
+        unknown = set(obj) - {*required, *optional}
+        if unknown:
+            raise ValueError(f"unknown keys for {what}: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{what} is missing the {missing[0]!r} key")
+    return kind
+
+
+def _same_shape(x, y):
+    """Raise unless the points ``x`` and ``y`` have one shape, so that they
+    pair row by row instead of broadcasting."""
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"shape mismatch: {np.shape(x)} and {np.shape(y)}")
 
 
 def _rowwise(f, x, dim):
@@ -650,10 +677,10 @@ def contains(cone, x, tol=DEFAULT_TOL):
 
 
 def leq(cone, x, y, tol=DEFAULT_TOL):
-    """Order test x <= y in the cone order: y - x is a member."""
-    xv = as_vector(x, cone.dim)
-    yv = as_vector(y, cone.dim)
-    return contains(cone, yv - xv, tol)
+    """Order test x <= y in the cone order: y - x is a member.  Takes two
+    vectors, or two (n, dim) batches with one verdict per row."""
+    _same_shape(x, y)
+    return contains(cone, np.subtract(y, x), tol)
 
 
 def sample_simplicial(dim, rng_seed, cond_cap=100.0):
@@ -672,27 +699,17 @@ def sample_simplicial(dim, rng_seed, cond_cap=100.0):
 
 
 _JSON_KEYS = {
-    "orthant": {"type", "dim"},
-    "simplicial": {"type", "basis"},
-    "lorentz": {"type", "dim", "negated"},
-    "generators": {"type", "vectors"},
-    "halfspaces": {"type", "normals"},
+    "orthant": (("dim",), ()),
+    "simplicial": (("basis",), ()),
+    "lorentz": (("dim",), ("negated",)),
+    "generators": (("vectors",), ()),
+    "halfspaces": (("normals",), ()),
 }
 
 
 def cone_from_json(obj):
     """Parse the cone JSON schema; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ValueError("cone JSON must be an object")
-    kind = obj.get("type")
-    if not isinstance(kind, str) or kind not in _JSON_KEYS:
-        raise ValueError(f"unknown cone type: {kind!r}")
-    unknown = set(obj) - _JSON_KEYS[kind]
-    if unknown:
-        raise ValueError(f"unknown keys for cone type {kind}: {sorted(unknown)}")
-    missing = _JSON_KEYS[kind] - {"negated"} - set(obj)
-    if missing:
-        raise ValueError(f"cone type {kind} is missing the {missing.pop()!r} key")
+    kind = _json_object(obj, "cone", tag="type", kinds=_JSON_KEYS)
     if kind == "orthant":
         return Orthant(_as_int(obj["dim"], "cone dim"))
     if kind == "simplicial":
@@ -708,4 +725,3 @@ def cone_from_json(obj):
     if kind == "generators":
         return PolyhedralGenerators(_as_rows(obj["vectors"], "generator vectors"))
     return PolyhedralHalfspaces(_as_rows(obj["normals"], "halfspace normals"))
-

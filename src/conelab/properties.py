@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import DEFAULT_TOL, _relative, _row_exponents, _row_max, _row_norm
+from .cones import (DEFAULT_TOL, _relative, _row_exponents, _row_max, _row_norm,
+                    _same_shape)
 from .sampling import cone_members, gaussian_points, rng_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -280,7 +281,9 @@ def _isotonicity(R, cone):
 
 def sup_m(pair, X, Y):
     """The supremum y + m(x - y) of x and y in the order of the m-range, for
-    a vector or a batch; a lattice pair's m makes it the lattice supremum."""
+    a vector or a batch; a lattice pair's m makes it the lattice supremum.
+    ``X`` and ``Y`` must have one shape."""
+    _same_shape(X, Y)
     return Y + pair.m(X - Y)
 
 

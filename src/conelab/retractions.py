@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import oracle
 from .cones import (DEFAULT_TOL, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                    _dot, _row_max, _rowwise, as_vector, cone_from_json)
+                    _dot, _json_object, _row_max, _rowwise, as_vector, cone_from_json)
 
 
 def project_cone(cone, x):
@@ -107,9 +108,12 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
     hs = cone.halfspaces()
     yv = as_vector(y, hs.dim)
     N = hs.normals
-    den = N @ yv
-    if np.any(den <= 1e-12 * np.linalg.norm(N, axis=1) * np.linalg.norm(yv)):
+    # Tested on the unit normals and y scaled by a power of two, so that no
+    # norm overflows or underflows at any scale of y; a zero y is refused.
+    s = oracle._scaled_rows(yv[None, :])[0][0]
+    if np.any(oracle._unit_rows(N) @ s <= 1e-12 * np.linalg.norm(s)):
         raise ValueError("anchor must be strictly interior to the cone")
+    den = N @ yv
 
     def phi(x):
         return _rowwise(lambda X: _row_max(_dot(X, N.T) / den), x, hs.dim)
@@ -130,29 +134,18 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
 
 
 _PAIR_KEYS = {
-    "lattice": {"family", "cone"},
-    "moreau": {"family", "cone"},
-    "minkowski": {"family", "cone", "interior_point"},
+    "lattice": (("cone",), ()),
+    "moreau": (("cone",), ()),
+    "minkowski": (("cone", "interior_point"), ()),
 }
 
 
 def pair_from_json(obj, tol=DEFAULT_TOL):
     """Parse a pair descriptor; unknown keys are rejected."""
-    if not isinstance(obj, dict):
-        raise ValueError("pair descriptor must be a JSON object")
-    family = obj.get("family")
-    if not isinstance(family, str) or family not in _PAIR_KEYS:
-        raise ValueError(f"unknown pair family: {family!r}")
-    unknown = set(obj) - _PAIR_KEYS[family]
-    if unknown:
-        raise ValueError(f"unknown keys for family {family}: {sorted(unknown)}")
-    if "cone" not in obj:
-        raise ValueError("pair descriptor is missing the 'cone' key")
+    family = _json_object(obj, "pair", tag="family", kinds=_PAIR_KEYS)
     cone = cone_from_json(obj["cone"])
     if family == "lattice":
         return lattice_pair(cone, tol=tol)
     if family == "moreau":
         return moreau_pair(cone, tol=tol)
-    if "interior_point" not in obj:
-        raise ValueError("minkowski pair requires 'interior_point'")
     return minkowski_pair(cone, obj["interior_point"], tol=tol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Simplicial, as_vector
+from .cones import Simplicial, _dot, _rowwise, _same_shape, as_vector
 from .properties import _Check, _sup_commutes, sup_m
 # cone_members is unused here, but perfbench/spans.py wraps
 # suprema.cone_members along with suprema.gaussian_points.
@@ -88,14 +88,12 @@ class SupTrace:
 
 def closed_form_sup(cone, u, v):
     """Supremum of {u, v} in a simplicial cone order: the coordinatewise
-    maximum in the cone's basis."""
+    maximum in the cone's basis.  Takes two vectors or two (n, dim) batches."""
     if not isinstance(cone, Simplicial):
         raise ValueError("closed-form supremum requires a simplicial cone")
-    uv = as_vector(u, cone.dim)
-    vv = as_vector(v, cone.dim)
-    cu = cone.basis_inv @ uv
-    cv = cone.basis_inv @ vv
-    return cone.basis @ np.maximum(cu, cv)
+    _same_shape(u, v)
+    top = np.maximum(cone.coordinates(u), cone.coordinates(v))
+    return _rowwise(lambda C: _dot(C, cone.basis.T), top, cone.dim)
 
 
 def _violated(cone, eps, chain, e):

@@ -302,10 +302,16 @@ _SUP_CONFIG = {"pair": _LATTICE_2, "u": [1.0, 0.0], "v": [0.0, 1.0]}
     (["demo"], {"name": "lex", "samples": 5}),
     (["demo"], {"name": "lex", "seed": 1}),
     (["demo"], {"name": "lex", "tolerances": {"membership": 1e-6}}),
+    # demo minkowski reads the order-unit functional of a minkowski pair only.
+    (["demo"], {"name": "minkowski", "samples": 20,
+                "pair": {"family": "moreau", "cone": {"type": "orthant", "dim": 2}}}),
+    # --pair fills only a missing pair; a null pair is no pair.
+    (["verify", "--pair", "lattice"], {"pair": None, "samples": 20}),
 ], ids=["sup-seed-flag", "sup-samples-flag", "sup-seed-key", "verify-format-xml",
         "demo-format-xml", "batch-format-human", "demo-moreau-subadd-pair", "demo-lex-pair",
         "demo-lex-samples-flag", "demo-lex-seed-flag", "demo-lex-tol-flag",
-        "demo-lex-samples-key", "demo-lex-seed-key", "demo-lex-tolerances-key"])
+        "demo-lex-samples-key", "demo-lex-seed-key", "demo-lex-tolerances-key",
+        "demo-minkowski-moreau-pair", "verify-null-pair-with-flag"])
 def test_inputs_a_command_does_not_read_exit_two(tmp_path, capsys, args, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -42,6 +42,15 @@ def test_leq_examples():
     assert not leq(SIMP, [0.0, 0.0], [0.0, 1.0])
 
 
+def test_leq_takes_a_batch():
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    Y = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    assert leq(Orthant(2), X, Y).tolist() == [leq(Orthant(2), x, y) for x, y in zip(X, Y)]
+    assert leq(Orthant(2), X, Y).tolist() == [True, False, True]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        leq(Orthant(2), X[0], Y)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         contains(Orthant(2), [1.0, 2.0, 3.0])
@@ -233,6 +242,8 @@ def test_sample_simplicial_determinism_and_cond():
     assert d.basis.shape == (1, 1) and d.basis[0, 0] != 0.0
     with pytest.raises(ValueError):
         sample_simplicial(0, 1)
+    with pytest.raises(ValueError, match="failed to sample"):
+        sample_simplicial(3, 0, cond_cap=1.000001)
     with pytest.raises(ValueError):
         sample_simplicial(2, 1, cond_cap=1.0)
 

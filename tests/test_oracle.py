@@ -44,6 +44,28 @@ def test_generator_caps():
         FaceTable(np.ones((2, 17)))
     with pytest.raises(ValueError):
         brute_force_project(WEDGE, [1.0, 2.0, 3.0])
+    table = FaceTable(WEDGE)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        table.project(np.ones((1, 3)))
+    with pytest.raises(IndexError):
+        table.coefficients(len(table.subsets), np.ones(2))
+
+
+def test_uncertified_projection_raises(monkeypatch):
+    # A projector that answers the origin for (1, 1), inside the wedge, leaves
+    # x itself as the error, which is not in the polar.
+    monkeypatch.setattr(FaceTable, "project",
+                        lambda self, X: (np.zeros_like(X), np.zeros(len(X), dtype=int)))
+    with pytest.raises(ValueError, match="no candidate certifies"):
+        brute_force_project(WEDGE, [1.0, 1.0])
+
+
+def test_lorentz_reference_project_axis_and_dimension():
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        lorentz_reference_project([1.0])
+    # On the t-axis the projection is t clamped at 0.
+    assert lorentz_reference_project([0.0, 0.0, 3.0]).tolist() == [0.0, 0.0, 3.0]
+    assert lorentz_reference_project([0.0, 0.0, -2.0]).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_double_description_orthant():

@@ -384,9 +384,20 @@ def test_minkowski_interior_required():
     with pytest.raises(ValueError):
         minkowski_pair(Orthant(2), [1.0, 0.0])
     with pytest.raises(ValueError):
+        minkowski_pair(Orthant(2), [0.0, 0.0])
+    with pytest.raises(ValueError):
         minkowski_pair(Orthant(2), [1.0, -1.0])
     with pytest.raises(ValueError):
         minkowski_pair(Lorentz(3), [0.0, 0.0, 1.0])  # no halfspace form
+
+
+@pytest.mark.parametrize("k", [-990, 0, 500, 990])
+def test_minkowski_anchor_at_any_scale(k):
+    # m is invariant under the scale of the anchor, and the interiority test
+    # takes no norm of the raw anchor, whose squares overflow from 2^512.
+    X = gaussian_points(rng_for(0, "anchor-scale"), 100, 2)
+    pair = minkowski_pair(Orthant(2), np.ldexp([1.0, 1.0], k))
+    assert np.array_equal(pair.m(X), minkowski_pair(Orthant(2), [1.0, 1.0]).m(X))
 
 
 def test_pair_descriptor_round_trip():
@@ -398,6 +409,10 @@ def test_pair_descriptor_round_trip():
         X = gaussian_points(rng, 50, pair.dim)
         np.testing.assert_allclose(back.m(X), pair.m(X))
         np.testing.assert_allclose(back.n(X), pair.n(X))
+
+
+def test_pair_repr():
+    assert repr(lattice_pair(Orthant(2))) == "RetractionPair(family='lattice', dim=2)"
 
 
 def test_pair_from_json_validation():

@@ -43,6 +43,23 @@ def test_closed_form_sup_examples():
         closed_form_sup(Lorentz(3), [0.0, 0.0, 1.0], [0.0, 0.0, 2.0])
 
 
+def test_closed_form_sup_takes_a_batch():
+    rng = rng_for(3, "closed-form-batch")
+    U, V = gaussian_points(rng, 5, 2), gaussian_points(rng, 5, 2)
+    S = closed_form_sup(SIMP, U, V)
+    assert S.shape == (5, 2)
+    for s, u, v in zip(S, U, V):
+        np.testing.assert_allclose(s, closed_form_sup(SIMP, u, v), rtol=1e-15, atol=1e-15)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        closed_form_sup(SIMP, U[0], V)
+
+
+def test_sup_m_refuses_inputs_of_different_shapes():
+    # Broadcasting would pair [1] with every coordinate: [1, 2, 1].
+    with pytest.raises(ValueError, match="shape mismatch"):
+        sup_m(lattice_pair(Orthant(3)), np.array([1.0]), np.array([0.0, 2.0, -1.0]))
+
+
 def test_trace_monotone_and_bounded():
     pair = lattice_pair(sample_simplicial(4, 44, cond_cap=20.0))
     rng = rng_for(7, "trace")
