@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle
 
-MAX_DENSE_DIM = 16
+MAX_DENSE_DIM = oracle.MAX_DIM
 _SINGULAR_RTOL = 1e-12
 # A generator is tight on a polar ray when their unit vectors' inner product
 # is within the double description's feasibility slack; a set of vectors has
@@ -170,19 +170,6 @@ def _row_exponents(X):
     return np.maximum(np.frexp(A.max(axis=1))[1], -1021)
 
 
-def _joint_row_exponents(arrays):
-    """:func:`_row_exponents` of the row-aligned ``arrays`` side by side; they
-    are joined only when their largest entry is nonzero and outside
-    [_TINY, _HUGE), so that some row is scaled."""
-    if len(arrays) > 1:
-        tops = [float(np.abs(a).max(initial=0.0)) for a in arrays]
-        top = max(tops)
-        # A NaN fails ``t < _HUGE`` and goes to the join, as it does there.
-        if all(t < _HUGE for t in tops) and (top == 0.0 or top >= _TINY):
-            return None
-    return _row_exponents(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
-
-
 def _relative(violation, *arrays, size=None):
     """``violation(*arrays) / (1 + size)`` per row, for a positively
     homogeneous violation of row-aligned inputs; ``size`` is |x| of the first
@@ -195,7 +182,7 @@ def _relative(violation, *arrays, size=None):
     wherever that neither overflows nor underflows, and it stays finite at
     any finite scale of the inputs.
     """
-    e = _joint_row_exponents(arrays)
+    e = _row_exponents(arrays[0] if len(arrays) == 1 else np.hstack(arrays))
     one = 1.0
     if e is not None:
         one = np.ldexp(1.0, -e)
@@ -283,9 +270,9 @@ class ConeSpec:
     (the metric projector of an (n, dim) batch), ``members``, ``polar``
     ({y : <x, y> <= 0 for all x in K}), ``negative`` (-K), ``is_generating``
     (K - K spans R^m), ``is_pointed`` (K holds no line) and ``to_json``.  The
-    defaults here: ``generators`` and ``halfspaces`` raise ``ValueError``, and
-    ``_projector``, ``members``, ``polar`` and ``is_generating`` read
-    ``generators``; ``is_pointed`` and ``_facet_residual``, each polyhedral
+    defaults here: ``generators`` raises ``ValueError``, and ``_projector``,
+    ``members``, ``polar`` and ``is_generating`` read ``generators``;
+    ``halfspaces``, ``is_pointed`` and ``_facet_residual``, each polyhedral
     class's ``membership_residual``, read its inward facet normals ``_facets``.
 
     ``membership_residual`` is the relative violation of membership, 0 for
@@ -358,8 +345,14 @@ class ConeSpec:
         raise ValueError("cone is not polyhedral")
 
     def halfspaces(self):
-        """The cone as a :class:`PolyhedralHalfspaces`, exactly."""
-        raise ValueError("cone not representable in halfspace form")
+        """The cone as the :class:`PolyhedralHalfspaces` of its ``_facets``;
+        raises for a class without them and for the whole space, which has none."""
+        facets = getattr(self, "_facets", None)
+        if facets is None:
+            raise ValueError("cone not representable in halfspace form")
+        if not facets.any():
+            raise ValueError("cone has no facet: the generators span the whole space")
+        return PolyhedralHalfspaces(facets)
 
 
 def _orthogonal(A):
@@ -480,9 +473,6 @@ class Simplicial(_ProperCone):
         """The simplicial cone of the negated inverse-transpose basis."""
         return Simplicial(-self.basis_inv.T)
 
-    def halfspaces(self):
-        return PolyhedralHalfspaces(self.basis_inv)
-
     def generators(self):
         return self.basis.T.copy()
 
@@ -588,7 +578,7 @@ class PolyhedralGenerators(ConeSpec):
         :meth:`ConeSpec.polar`, the polar.
         """
         V, m = self.vectors, self.dim
-        P = oracle._unit_rows(PolyhedralHalfspaces(-V)._rays)
+        P = PolyhedralHalfspaces(-V)._rays  # unit rows
         if _rank(P) < m:  # the cone holds a line: keep the listed generators
             return V, None
         S = oracle._scaled_rows(V)[0]  # exact, so no norm below overflows

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_GENERATORS = 12
-MAX_DIM = 16
+MAX_DIM = 16  # every cone's dimension cap; cones.MAX_DENSE_DIM reads it
 MAX_DD_HALFSPACES = 12
 
 _RANK_RTOL = 1e-12
@@ -323,7 +323,7 @@ def double_description(halfspaces):
     tight = (F[admitted] <= _FEAS_TOL) @ (1 << np.arange(k))  # the tight set as k bits
     first = np.sort(np.unique(tight, return_index=True)[1])
     rays = [Q @ d for d in C[admitted[first]]]  # one product a ray, as a batch rounds otherwise
-    return np.array([v / np.linalg.norm(v) for v in rays]).reshape(-1, m), Vt[r:]
+    return _unit_rows(np.array(rays).reshape(-1, m)), Vt[r:]
 
 
 # Rows generate the planar cone {(a, b) : |a| <= b}, the two-dimensional

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import oracle
 from .cones import (DEFAULT_TOL, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                    _dot, _json_object, _row_max, _rowwise, as_vector, cone_from_json)
+                    _dot, _json_object, _row_max, _row_norm, _rowwise, as_vector, cone_from_json)
 
 
 def project_cone(cone, x):
@@ -111,7 +111,7 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
     # Tested on the unit normals and y scaled by a power of two, so that no
     # norm overflows or underflows at any scale of y; a zero y is refused.
     s = oracle._scaled_rows(yv[None, :])[0][0]
-    if np.any(oracle._unit_rows(N) @ s <= 1e-12 * np.linalg.norm(s)):
+    if np.any(oracle._unit_rows(N) @ s <= 1e-12 * _row_norm(s)):
         raise ValueError("anchor must be strictly interior to the cone")
     den = N @ yv
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Simplicial, _dot, _rowwise, _same_shape, as_vector
+from .cones import Simplicial, _dot, _row_norm, _rowwise, _same_shape, as_vector
 from .properties import _Check, _sup_commutes, sup_m
 # cone_members is unused here, but perfbench/spans.py wraps
 # suprema.cone_members along with suprema.gaussian_points.
@@ -130,7 +130,7 @@ def iterative_sup(pair, u, v, max_iter=100):
     one = math.ldexp(1.0, -e)
 
     def norm(x):
-        return float(np.linalg.norm(np.ldexp(x, -e)))
+        return float(_row_norm(np.ldexp(x, -e)))
 
     w = pair.m(u) + pair.m(v)
     u_its, v_its, gaps = [sup_m(pair, v, u)], [], []

@@ -437,7 +437,10 @@ def test_generator_cone_whose_polar_exceeds_the_face_table_cap(tmp_path, capsys)
                                         for t in np.linspace(0.0, 2.0 * np.pi, 20,
                                                              endpoint=False)]},
      [0.0, 0.0, 1.0]),
-], ids=["orthant-12", "halfspaces", "orthant-16", "halfspaces-20"])
+    # A generator cone's halfspace form is its facet matrix.
+    ({"type": "generators", "vectors": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]]},
+     [1.0, 1.0, 1.0]),
+], ids=["orthant-12", "halfspaces", "orthant-16", "halfspaces-20", "generators"])
 def test_minkowski_verify_passes(tmp_path, cone, point):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pair": {"family": "minkowski", "cone": cone,
@@ -446,14 +449,22 @@ def test_minkowski_verify_passes(tmp_path, cone, point):
     assert main(["verify", "--config", str(cfg)]) == 0
 
 
-@pytest.mark.parametrize("cone,message", [
-    # Three generators that positively span the plane: the polar is {0}.
-    ({"type": "generators", "vectors": [[1, 0], [0, 1], [-1, -1]]}, "polar cone is {0}"),
-    ({"type": "halfspaces", "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]]}, "cone is {0}"),
-], ids=["whole-plane-generators", "origin-halfspaces"])
-def test_zero_cone_exit_two(tmp_path, capsys, cone, message):
+# Three generators that positively span the plane: the polar is {0}, and no
+# facet bounds the cone.
+_WHOLE_PLANE = {"type": "generators", "vectors": [[1, 0], [0, 1], [-1, -1]]}
+
+
+@pytest.mark.parametrize("pair,message", [
+    ({"family": "moreau", "cone": _WHOLE_PLANE}, "polar cone is {0}"),
+    ({"family": "minkowski", "cone": _WHOLE_PLANE, "interior_point": [1, 1]},
+     "cone has no facet"),
+    ({"family": "moreau", "cone": {"type": "halfspaces",
+                                   "normals": [[1, 0], [-1, 0], [0, 1], [0, -1]]}},
+     "cone is {0}"),
+], ids=["whole-plane-generators", "whole-plane-minkowski", "origin-halfspaces"])
+def test_zero_cone_exit_two(tmp_path, capsys, pair, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pair": {"family": "moreau", "cone": cone}, "samples": 20}))
+    cfg.write_text(json.dumps({"pair": pair, "samples": 20}))
     assert main(["verify", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"conelab: error: {message}:") and err.count("\n") == 1

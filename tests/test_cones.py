@@ -9,8 +9,7 @@ from conelab import (ConeSpec, Lorentz, Orthant, PolyhedralGenerators, Polyhedra
                      Simplicial, ToleranceConfig, closed_form_sup, cone_from_json, contains,
                      lattice_pair, leq, moreau_pair, oracle, project_cone, run_catalogue,
                      sample_simplicial)
-from conelab.cones import (_FOLD_ROWS, _joint_row_exponents, _row_exponents, _row_max,
-                           _row_min, _row_norm)
+from conelab.cones import MAX_DENSE_DIM, _FOLD_ROWS, _relative, _row_max, _row_min, _row_norm
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
 SIMP = Simplicial(np.array([[1.0, 1.0], [0.0, 1.0]]))  # columns (1,0), (1,1)
@@ -124,6 +123,28 @@ def test_polar_generators_and_halfspaces():
     assert contains(PH2, [-1.0, 0.0])
     assert not contains(PH2, [-1.0, 0.5])
     assert not contains(PH2, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("vectors", [
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+    [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]],
+    [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    [[1.0, 0.2, 0.0, 0.3], [0.1, 1.0, 0.4, 0.0], [0.0, 0.5, 1.0, 0.2],
+     [0.3, 0.0, 0.2, 1.0], [1.0, 1.0, 1.0, 0.1]],
+], ids=["orthant-redundant", "pyramid", "half-plane", "flat", "five-rays"])
+def test_generator_cone_halfspaces_agree_with_membership(vectors):
+    # A generator cone's halfspace form is its facet matrix, lineality pairs
+    # included, so it holds the points the cone holds: of 1,000 Gaussian
+    # points, and of 100 members, which a flat cone needs to hold any.
+    cone = PolyhedralGenerators(vectors)
+    rng = rng_for(0, "generator-halfspaces")
+    X = np.vstack([gaussian_points(rng, 1000, cone.dim), cone.members(rng, 100)])
+    hs = cone.halfspaces()
+    assert isinstance(hs, PolyhedralHalfspaces)
+    inside = contains(cone, X)
+    assert inside[-100:].all() and not inside[:1000].all()
+    assert np.array_equal(contains(hs, X), inside)
 
 
 def test_bipolar_membership_agreement_many_cones():
@@ -284,6 +305,8 @@ def test_cone_json_rejects_non_boolean_negated(negated):
 
 
 def test_dimension_caps():
+    # One cap for every cone: the cone classes read the oracles' value.
+    assert MAX_DENSE_DIM == oracle.MAX_DIM == 16
     with pytest.raises(ValueError):
         Orthant(17)
     with pytest.raises(ValueError, match="orthant dimension"):  # checked before np.eye
@@ -387,7 +410,9 @@ def test_row_norm_matches_numpy(rows):
                     _same_bits(norms.ravel(), np.array(alone, dtype=float))
 
 
-def test_joint_row_exponents_match_hstack():
+def test_relative_of_several_inputs_matches_hstack():
+    # Several inputs are scaled as one: each case's residual is, bit for bit,
+    # that of the inputs side by side, with the same violation and size.
     rng = rng_for(0, "joint-exponents")
     A, B = rng.standard_normal((50, 3)), rng.standard_normal((50, 4))
     huge, nan = B.copy(), B.copy()
@@ -405,11 +430,16 @@ def test_joint_row_exponents_match_hstack():
         (A, nan),                                # NaN scales as it does joined
         (huge,),
     ]
+
+    def violation(H):
+        return np.abs(H).max(axis=1, initial=0.0)
+
+    def joined(f):
+        return lambda *arrays: f(np.hstack(arrays))
+
     for arrays in cases:
-        got, want = _joint_row_exponents(arrays), _row_exponents(np.hstack(arrays))
-        assert (got is None) == (want is None)
-        if want is not None:
-            _same_bits(got, want)
+        _same_bits(_relative(joined(violation), *arrays, size=joined(_row_norm)),
+                   _relative(violation, np.hstack(arrays), size=_row_norm))
 
 
 def test_negate_reuses_the_factorization():
@@ -581,10 +611,13 @@ def test_operations_a_class_lacks_raise_value_error():
         Lorentz(3).generators()
     with pytest.raises(ValueError, match="^cone not representable in halfspace form$"):
         Lorentz(3).halfspaces()
-    with pytest.raises(ValueError, match="^cone not representable in halfspace form$"):
-        PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0]]).halfspaces()
+    with pytest.raises(ValueError, match=(
+            "^cone has no facet: the generators span the whole space$")):
+        PolyhedralGenerators([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]).halfspaces()
     with pytest.raises(ValueError, match="^cone is not polyhedral$"):
         TurnedLorentz().generators()
+    with pytest.raises(ValueError, match="^cone not representable in halfspace form$"):
+        TurnedLorentz().halfspaces()
     # The polar of generators that span the plane is {0}, which has no ray;
     # so is a halfspace cone whose normals leave only the origin.
     with pytest.raises(ValueError, match=re.escape(

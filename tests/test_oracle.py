@@ -282,7 +282,7 @@ def _reference_rays(N):
             if np.all(Br @ cand >= -1e-9) and all(np.linalg.norm(d - cand) > 1e-9
                                                   for d in rays):
                 rays.append(cand)
-    return [v / np.linalg.norm(v) for v in (Vt.T @ d for d in rays)]
+    return list(_unit_rows(np.array([Vt.T @ d for d in rays])))
 
 
 def _random_generators(rng, k, m):

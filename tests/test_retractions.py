@@ -391,6 +391,20 @@ def test_minkowski_interior_required():
         minkowski_pair(Lorentz(3), [0.0, 0.0, 1.0])  # no halfspace form
 
 
+def test_minkowski_pair_on_a_generator_cone():
+    # The generator form of the orthant, with a redundant generator, has the
+    # orthant's facets as its halfspace form, and so its Minkowski verdicts.
+    y = [1.0, 1.0, 1.0]
+    gens = PolyhedralGenerators([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                 [1.0, 1.0, 0.0]])
+
+    def verdicts(cone):
+        reports = run_catalogue(minkowski_pair(cone, y), n_samples=200, seed=1)
+        return {r.property_id: r.verdict for r in reports}
+
+    assert verdicts(gens) == verdicts(Orthant(3))
+
+
 @pytest.mark.parametrize("k", [-990, 0, 500, 990])
 def test_minkowski_anchor_at_any_scale(k):
     # m is invariant under the scale of the anchor, and the interiority test
