@@ -297,8 +297,7 @@ class ConeSpec:
     def _projector(self):
         """The metric projector of :func:`_ray_projector` on the rows of
         :meth:`generators`, built once."""
-        A = self.generators().T
-        return _ray_projector(A, _orthogonal(A))
+        return _ray_projector(self.generators().T)
 
     def members(self, rng, n):
         """``n`` random members of the cone with O(1) norms, drawn from
@@ -332,8 +331,9 @@ class ConeSpec:
         return self._polar
 
     def generators(self):
-        """Generator rows for a polyhedral cone, as a new array: the basis
-        columns of a simplicial cone, else the cone's canonical ray matrix.
+        """Generator rows for a polyhedral cone, as the cone's own read-only
+        matrix: the basis columns of a simplicial cone, else the cone's
+        canonical ray matrix.
 
         The ray matrix holds the extreme rays only, as unit vectors, without
         near-parallel duplicates, in lexicographic order; a halfspace cone's
@@ -365,15 +365,15 @@ def _orthogonal(A):
     return d if np.abs(gram - np.diag(d)).max() <= _ORTHO_RTOL * d.max() else None
 
 
-def _ray_projector(A, d):
-    """Vectorized metric projector onto the cone of the columns of ``A``,
-    where ``d`` is :func:`_orthogonal` of ``A``.
+def _ray_projector(A):
+    """Vectorized metric projector onto the cone of the columns of ``A``.
 
     Square ``A`` with pairwise orthogonal columns (an orthant, rotated or
     not) projects by clamping its scaled coordinates, the lattice positive
     part (Moreau 1962): exact, and one product each way.  Any other cone
     goes through face enumeration on a ``FaceTable`` of its columns.
     """
+    d = _orthogonal(A)
     if d is not None:
         return lambda X: _dot(np.maximum(_dot(X, A) / d, 0.0), A.T)
     if A.shape[1] > oracle.MAX_GENERATORS:
@@ -433,7 +433,7 @@ class Simplicial(_ProperCone):
         if not np.all(np.isfinite(B)):
             raise ValueError("simplicial basis has NaN/Inf entries")
         sv = np.linalg.svd(B, compute_uv=False)
-        if sv[-1] <= sv[0] * _SINGULAR_RTOL or sv[-1] == 0.0:
+        if sv[-1] <= sv[0] * _SINGULAR_RTOL:
             raise ValueError("singular simplicial basis")
         object.__setattr__(self, "basis", _readonly(B))
         object.__setattr__(self, "basis_inv", _readonly(np.linalg.inv(B)))
@@ -453,11 +453,6 @@ class Simplicial(_ProperCone):
 
     membership_residual = ConeSpec._facet_residual
 
-    @functools.cached_property
-    def _projector(self):
-        # The basis itself: its F-ordered copy generators().T can round differently.
-        return _ray_projector(self.basis, _orthogonal(self.basis))
-
     def members(self, rng, n):
         coeff = np.abs(rng.standard_normal((n, self.dim))) / np.sqrt(self.dim)
         return coeff @ self.basis.T
@@ -474,7 +469,7 @@ class Simplicial(_ProperCone):
         return Simplicial(-self.basis_inv.T)
 
     def generators(self):
-        return self.basis.T.copy()
+        return self.basis.T
 
     def to_json(self):
         return {"type": "simplicial", "basis": self.basis.T.tolist()}
@@ -585,7 +580,7 @@ class PolyhedralGenerators(ConeSpec):
         on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
         E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
-        project = _ray_projector(E.T, _orthogonal(E.T))
+        project = _ray_projector(E.T)
         missed = _row_norm(S - project(S)) > _REPRODUCE_RTOL * _row_norm(S)
         if missed.any():
             E, project = _canonical_rows(np.vstack([E, S[missed]])), None
@@ -605,7 +600,7 @@ class PolyhedralGenerators(ConeSpec):
 
     def generators(self):
         # Never empty, unlike a halfspace cone's: the listed vectors are nonzero.
-        return self._derived[0].copy()
+        return self._derived[0]
 
     def to_json(self):
         return {"type": "generators", "vectors": self.vectors.tolist()}
@@ -655,7 +650,7 @@ class PolyhedralHalfspaces(ConeSpec):
     def generators(self):
         if not len(self._rays):
             raise ValueError("cone is {0}: no nonzero point meets all its halfspaces")
-        return self._rays.copy()
+        return self._rays
 
     def to_json(self):
         return {"type": "halfspaces", "normals": self.normals.tolist()}

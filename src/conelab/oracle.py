@@ -18,7 +18,6 @@ import numpy as np
 
 MAX_GENERATORS = 12
 MAX_DIM = 16  # every cone's dimension cap; cones.MAX_DENSE_DIM reads it
-MAX_DD_HALFSPACES = 12
 
 _RANK_RTOL = 1e-12
 # Feasibility slack of a candidate ray against the row-normalized normals.
@@ -302,7 +301,7 @@ def double_description(halfspaces):
         Orthonormal rows spanning the lineality space, the complement of
         the normals' row space.
     """
-    B = _as_generator_matrix(halfspaces, max_rows=MAX_DD_HALFSPACES)
+    B = _as_generator_matrix(halfspaces)
     k, m = B.shape
     Bn = _unit_rows(B)
     _, sv, Vt = np.linalg.svd(Bn, full_matrices=True)

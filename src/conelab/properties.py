@@ -10,6 +10,10 @@ stream of its catalogue key, evaluates residuals, and returns a
   residuals inside ``[eps/10, 10*eps]`` make the verdict ``inconclusive``
   instead of flipping between pass and fail at the boundary.
 
+Each sample gets a status on one ordered scale, ok < band < bad, and a
+check's verdict is the worst status of its samples: pass, inconclusive or
+fail.
+
 Each residual is defined once, as a function of row batches that returns
 one value per row: a checker evaluates it on all samples, and witness
 shrinking and replay evaluate the same function on witness rows.  A batch
@@ -29,12 +33,11 @@ then in insertion order, so reports are schedule-invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (DEFAULT_TOL, _relative, _row_exponents, _row_max, _row_norm,
-                    _same_shape)
+from .cones import _relative, _row_exponents, _row_max, _row_norm, _same_shape
 from .sampling import cone_members, gaussian_points, rng_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
@@ -46,8 +49,9 @@ _WITNESS_CAP = 8
 # Relative margin at which a closed-form smallest failing scale is confirmed.
 _CONFIRM_REL = 1e-7
 
-# status codes per sample
+# status of a sample, on one ordered scale; a verdict is the worst status
 _OK, _BAND, _BAD = 0, 1, 2
+_VERDICT = (PASS, INCONCLUSIVE, FAIL)
 
 
 @dataclass
@@ -57,9 +61,9 @@ class PropertyReport:
     property_id: str
     verdict: str
     samples_run: int
-    witnesses: list = field(default_factory=list)
-    seed: int = 0
-    tolerances: object = DEFAULT_TOL
+    witnesses: list
+    seed: int
+    tolerances: object
 
     def to_json_dict(self):
         return {"property": self.property_id,
@@ -70,28 +74,16 @@ class PropertyReport:
                 "tolerances": self.tolerances.to_json_dict()}
 
 
+def _status(res, bad, band=np.inf):
+    """Each residual on the scale _OK < _BAND < _BAD: _BAD above ``bad``,
+    else _BAND from ``band`` on, else _OK."""
+    res = np.asarray(res)
+    return np.where(res > bad, _BAD, np.where(res >= band, _BAND, _OK))
+
+
 def _membership_status(res, eps):
-    out = np.full(np.shape(res), _OK, dtype=int)
-    out[np.asarray(res) >= eps / 10.0] = _BAND
-    out[np.asarray(res) > eps * 10.0] = _BAD
-    return out
-
-
-def _norm_status(res, eps):
-    out = np.full(np.shape(res), _OK, dtype=int)
-    out[np.asarray(res) > eps] = _BAD
-    return out
-
-
-def _scaled(arrays, t):
-    """Each input with its rows scaled by the matching entry of ``t``."""
-    return [t[:, None] * a for a in arrays]
-
-
-def _two_scales(arrays, t, u):
-    """Each input with its rows scaled by ``t``, stacked over the same rows
-    scaled by ``u``: one batch for two scales."""
-    return [np.concatenate(p) for p in zip(_scaled(arrays, t), _scaled(arrays, u))]
+    """A membership residual's status, _BAND inside [eps/10, 10 eps]."""
+    return _status(res, 10.0 * eps, eps / 10.0)
 
 
 def _shrink(residual, arrays, threshold):
@@ -111,8 +103,12 @@ def _shrink(residual, arrays, threshold):
     ``_WITNESS_CAP`` rows, fewer than ``cones._FOLD_ROWS``, so each residual
     has the bits of its row's own 1-row batch, which a replay evaluates.
     """
+    def at(arrays, t, u):
+        # the rows scaled by t, stacked over the same rows scaled by u
+        return residual(*[np.concatenate([t[:, None] * a, u[:, None] * a]) for a in arrays])
+
     k = arrays[0].shape[0]
-    r = residual(*_two_scales(arrays, np.ones(k), np.full(k, 0.5)))
+    r = at(arrays, np.ones(k), np.full(k, 0.5))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_one, inv_half = 1.0 / r[:k], 1.0 / r[k:]
         t = (inv_half - inv_one) / (1.0 / threshold - (2.0 * inv_one - inv_half))
@@ -120,26 +116,25 @@ def _shrink(residual, arrays, threshold):
         fitted = np.flatnonzero(np.isfinite(t) & (t > 0.0) & (up < 1.0))
     scale, shrunk = np.ones(k), r[:k].copy()
     if fitted.size:
-        rc = residual(*_two_scales([a[fitted] for a in arrays], up[fitted], down[fitted]))
+        rc = at([a[fitted] for a in arrays], up[fitted], down[fitted])
         n = fitted.size
         confirmed = (rc[:n] > threshold) & (rc[n:] <= threshold)
         rows = fitted[confirmed]
         scale[rows], shrunk[rows] = up[rows], rc[:n][confirmed]
-    return r[:k], _scaled(arrays, scale), shrunk
+    return r[:k], [scale[:, None] * a for a in arrays], shrunk
 
 
 class _Check:
     """One property check of a pair: the seeded stream of its catalogue key
-    (``rng``), the pair's tolerances, the per-sample statuses and, per check
-    label, the failing rows."""
+    (``rng``), the pair's tolerances, the worst sample status so far and,
+    per check label, the failing rows."""
 
     def __init__(self, pair, property_id, seed):
         self.property_id = property_id
         self.seed = seed
         self.tol = pair.tol
         self.rng = rng_for(seed, property_id)
-        self.any_band = False
-        self.any_bad = False
+        self.worst = _OK
         # (check label, residual function, shrink threshold, input names,
         #  failing rows of each input)
         self.failures = []
@@ -150,11 +145,10 @@ class _Check:
         if np.isnan(res).any():
             raise ValueError(f"{self.property_id}: check {check!r} gave a NaN residual")
         status = np.asarray(status)
-        self.any_band = self.any_band or bool((status == _BAND).any())
+        self.worst = max(self.worst, int(status.max(initial=_OK)))
         bad = status == _BAD
         if not bad.any():
             return
-        self.any_bad = True
         self.failures.append((check, residual, threshold, list(inputs),
                               [np.asarray(a, dtype=float)[bad] for a in inputs.values()]))
 
@@ -163,7 +157,7 @@ class _Check:
         (``eps_equal`` by default)."""
         eps = self.tol.eps_equal if eps is None else eps
         res = residual(*inputs.values())
-        self.add(check, residual, inputs, _norm_status(res, eps), res, eps)
+        self.add(check, residual, inputs, _status(res, eps), res, eps)
 
     def membership(self, check, residual, inputs):
         """A membership test, inconclusive inside the band [eps/10, 10 eps]
@@ -214,13 +208,7 @@ class _Check:
         return [witnesses[i] for i in chosen]
 
     def finish(self, n_samples):
-        if self.any_bad:
-            verdict = FAIL
-        elif self.any_band:
-            verdict = INCONCLUSIVE
-        else:
-            verdict = PASS
-        return PropertyReport(property_id=self.property_id, verdict=verdict,
+        return PropertyReport(property_id=self.property_id, verdict=_VERDICT[self.worst],
                               samples_run=n_samples, witnesses=self._witnesses(),
                               seed=self.seed, tolerances=self.tol)
 
@@ -334,12 +322,10 @@ def check_idempotence(pair, n_samples=1000, seed=0):
 
 
 def _xor_fail(status_a, status_b):
-    """Equivalence of two three-way classifications: clean contradiction
-    fails, any band sample is inconclusive."""
-    fail = ((status_a == _OK) & (status_b == _BAD)) | ((status_a == _BAD) & (status_b == _OK))
-    band = ((status_a == _BAND) | (status_b == _BAND)) & ~fail
-    out = np.where(fail, _BAD, np.where(band, _BAND, _OK))
-    return out
+    """Equivalence of two statuses: any band sample is _BAND, else their
+    distance on the scale, _BAD for a clean contradiction (_OK against _BAD)."""
+    return np.where((status_a == _BAND) | (status_b == _BAND), _BAND,
+                    np.abs(status_a - status_b))
 
 
 def check_range_kernel(pair, n_samples=1000, seed=0):
@@ -449,7 +435,7 @@ def check_subadditivity_defect_sets(pair, n_samples=1000, seed=0):
                    {"x": X, "y": Y})
     res_b, eps = realized(W, V), chk.tol.eps_equal
     chk.add("member-realized", realized, {"x": W, "y": V},
-            np.where(eligible, _norm_status(res_b, eps), _BAND), res_b, eps)
+            np.where(eligible, _status(res_b, eps), _BAND), res_b, eps)
     chk.norm("defect-negation", negation, {"x": X, "y": Y}, ALGEBRA_TOL)
     return chk.finish(n_samples)
 
@@ -483,40 +469,35 @@ def check_riesz_identities(pair, n_samples=1000, seed=0):
 
 
 def _sigma_runner(pair, n_samples, seed):
+    # Imported at call time: suprema.py imports this module.
     from .suprema import finite_sigma_continuity_check
     return finite_sigma_continuity_check(pair, n_samples, seed)
 
 
+def _by_name(checker, *which):
+    """A runner(pair, n, seed) that looks ``checker`` up in this module at
+    call time: ``perfbench/spans.py`` wraps these module attributes, and a
+    direct function reference would hide every check span."""
+    return lambda pair, n, seed: globals()[checker](pair, *which, n, seed)
+
+
 # Catalogue of checkers by property id, in report order, with the pair
-# families each applies to.  The ids are frozen strings: reports stay
-# diffable across runs and releases.  Each runner looks its checker up by
-# name at call time: ``perfbench/spans.py`` wraps these module attributes,
-# and direct function references here would hide every check span.
-CATALOGUE = (
-    ("ranges", ("lattice", "moreau", "minkowski"),
-     lambda pair, n, seed: check_ranges(pair, n, seed)),
-    ("polarity", ("lattice", "moreau", "minkowski"),
-     lambda pair, n, seed: check_mutual_polarity(pair, n, seed)),
-    ("idempotence", ("lattice", "moreau", "minkowski"),
-     lambda pair, n, seed: check_idempotence(pair, n, seed)),
-    ("range-kernel", ("lattice", "moreau"),
-     lambda pair, n, seed: check_range_kernel(pair, n, seed)),
-    ("range-negation", ("lattice", "moreau"),
-     lambda pair, n, seed: check_range_negation(pair, n, seed)),
-    ("subadditive-m", ("lattice", "moreau", "minkowski"),
-     lambda pair, n, seed: check_subadditive(pair, "m", n, seed)),
-    ("subadditive-n", ("lattice", "moreau"),
-     lambda pair, n, seed: check_subadditive(pair, "n", n, seed)),
-    ("isotone-m", ("lattice", "moreau"),
-     lambda pair, n, seed: check_isotone(pair, "m", n, seed)),
-    ("isotone-n", ("lattice", "moreau"),
-     lambda pair, n, seed: check_isotone(pair, "n", n, seed)),
-    ("subadditivity-defects", ("lattice", "moreau"),
-     lambda pair, n, seed: check_subadditivity_defect_sets(pair, n, seed)),
-    ("positive-part-identities", ("lattice",),
-     lambda pair, n, seed: check_riesz_identities(pair, n, seed)),
-    ("monotone-sup-commutes", ("lattice",), _sigma_runner),
-)
+# families each applies to and the checker's name, plus its "m" or "n".  The
+# ids are frozen strings: reports stay diffable across runs and releases.
+CATALOGUE = tuple((key, families, _by_name(*checker)) for key, families, *checker in (
+    ("ranges", ("lattice", "moreau", "minkowski"), "check_ranges"),
+    ("polarity", ("lattice", "moreau", "minkowski"), "check_mutual_polarity"),
+    ("idempotence", ("lattice", "moreau", "minkowski"), "check_idempotence"),
+    ("range-kernel", ("lattice", "moreau"), "check_range_kernel"),
+    ("range-negation", ("lattice", "moreau"), "check_range_negation"),
+    ("subadditive-m", ("lattice", "moreau", "minkowski"), "check_subadditive", "m"),
+    ("subadditive-n", ("lattice", "moreau"), "check_subadditive", "n"),
+    ("isotone-m", ("lattice", "moreau"), "check_isotone", "m"),
+    ("isotone-n", ("lattice", "moreau"), "check_isotone", "n"),
+    ("subadditivity-defects", ("lattice", "moreau"), "check_subadditivity_defect_sets"),
+    ("positive-part-identities", ("lattice",), "check_riesz_identities"),
+    ("monotone-sup-commutes", ("lattice",), "_sigma_runner"),
+))
 
 
 def catalogue_for(family):

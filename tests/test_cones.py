@@ -606,6 +606,16 @@ def test_a_cone_class_defined_outside_the_package_runs_the_catalogue():
     assert verdicts["subadditive-m"] == "fail"
 
 
+@pytest.mark.parametrize("cone", [
+    Orthant(3), SIMP, PolyhedralGenerators([[1.0, 0.0], [1.0, 1.0], [2.0, 1.0]]),
+    PolyhedralHalfspaces([[1.0, 0.0], [-1.0, 2.0]])], ids=lambda c: type(c).__name__)
+def test_generators_are_the_cones_read_only_matrix(cone):
+    G = cone.generators()
+    with pytest.raises(ValueError, match="read-only"):
+        G[0, 0] = 7.0
+    assert np.shares_memory(cone.generators(), G)
+
+
 def test_operations_a_class_lacks_raise_value_error():
     with pytest.raises(ValueError, match="^cone is not polyhedral$"):
         Lorentz(3).generators()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import zlib
 from pathlib import Path
@@ -459,15 +460,52 @@ def test_witness_order_across_labels_and_arities():
 
 
 def test_run_catalogue_calls_checkers_by_current_name(monkeypatch):
-    # The benchmark's span tracer replaces these module attributes.
+    # The benchmark's span tracer replaces these module attributes.  Each key
+    # must reach its own checker, with its own "m" or "n" side.
     calls = []
-    monkeypatch.setattr(properties, "check_ranges",
-                        lambda *args: calls.append("ranges") or "ranges-report")
+
+    def recording(name):
+        return lambda pair, *args: calls.append((name, args)) or f"{name}-report"
+
+    for name in dir(properties):
+        if name.startswith("check_"):
+            monkeypatch.setattr(properties, name, recording(name))
     monkeypatch.setattr(suprema, "finite_sigma_continuity_check",
-                        lambda *args, **kwargs: calls.append("chain") or "chain-report")
-    reports = run_catalogue(lattice_pair(Orthant(2)), 20, seed=0)
-    assert calls == ["ranges", "chain"]
-    assert reports[0] == "ranges-report" and reports[-1] == "chain-report"
+                        lambda pair, *args: calls.append(("chain", args)) or "chain-report")
+    reports = run_catalogue(lattice_pair(Orthant(2)), 20, seed=3)
+    expected = [("check_ranges", ()), ("check_mutual_polarity", ()), ("check_idempotence", ()),
+                ("check_range_kernel", ()), ("check_range_negation", ()),
+                ("check_subadditive", ("m",)), ("check_subadditive", ("n",)),
+                ("check_isotone", ("m",)), ("check_isotone", ("n",)),
+                ("check_subadditivity_defect_sets", ()), ("check_riesz_identities", ()),
+                ("chain", ())]
+    assert [key for key, _, _ in CATALOGUE] == catalogue_for("lattice")
+    assert calls == [(name, which + (20, 3)) for name, which in expected]
+    assert reports == [f"{name}-report" for name, _ in expected]
+
+
+def test_status_scale_decides_samples_and_verdicts():
+    scale = (properties._OK, properties._BAND, properties._BAD)
+    # _xor_fail: any band is inconclusive, a clean contradiction fails.
+    a, b = np.meshgrid(scale, scale, indexing="ij")
+    assert properties._xor_fail(a, b).tolist() == [[0, 1, 2], [1, 1, 1], [2, 1, 0]]
+    eps = 1e-6
+    res = np.array([0.0, 0.09e-6, eps / 10.0, eps, 1.01e-6, 10.0 * eps, 10.1e-6])
+    assert properties._status(res, eps).tolist() == [0, 0, 0, 0, 2, 2, 2]
+    assert properties._membership_status(res, eps).tolist() == [0, 0, 1, 1, 1, 1, 2]
+    # A check's verdict is the worst status it was fed, in any order, one
+    # status per labelled check or all of them in one.
+    pair = lattice_pair(Orthant(2))
+    for n in range(4):
+        for statuses in itertools.product(scale, repeat=n):
+            verdict = ("pass", "inconclusive", "fail")[max(statuses, default=0)]
+            for split in ([[s] for s in statuses], [list(statuses)] if n else []):
+                chk = _Check(pair, "p", 0)
+                for status in split:
+                    X = np.ones((len(status), 2))
+                    chk.add("c", lambda X: np.ones(len(X)), {"x": X}, np.array(status),
+                            np.zeros(len(status)), 0.5)
+                assert chk.finish(1).verdict == verdict, (statuses, split)
 
 
 def test_every_catalogue_key_draws_its_own_stream(monkeypatch):
