@@ -21,10 +21,10 @@ from . import oracle
 MAX_DENSE_DIM = oracle.MAX_DIM
 _SINGULAR_RTOL = 1e-12
 # A generator is tight on a polar ray when their unit vectors' inner product
-# is within the double description's feasibility slack; a set of vectors has
-# the rank of its singular values above this share of the largest.
+# is within the double description's feasibility slack; a set of rays or facet
+# normals has the rank of its singular values above this share of the largest.
 _TIGHT_TOL = oracle._FEAS_TOL
-_RANK_RTOL = 1e-9
+_RAY_RANK_RTOL = 1e-9
 # A generator leaves the ray matrix only when the kept rays reproduce it to
 # this relative distance.
 _REPRODUCE_RTOL = 1e-12
@@ -230,11 +230,11 @@ def _row_norm(X):
 
 
 def _rank(A):
-    """Numerical rank: singular values above ``_RANK_RTOL`` times the largest."""
+    """Numerical rank: singular values above ``_RAY_RANK_RTOL`` times the largest."""
     if A.size == 0:
         return 0
     sv = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(sv > sv[0] * _RANK_RTOL))
+    return int(np.sum(sv > sv[0] * _RAY_RANK_RTOL))
 
 
 def _canonical_rows(R):
@@ -579,7 +579,7 @@ class PolyhedralGenerators(ConeSpec):
         S = oracle._scaled_rows(V)[0]  # exact, so no norm below overflows
         on = np.abs(oracle._unit_rows(S) @ P.T) <= _TIGHT_TOL
         sv = np.linalg.svd(on[:, :, None] * P, compute_uv=False)
-        E = _canonical_rows(S[(sv > sv[:, :1] * _RANK_RTOL).sum(axis=1) >= m - 1])
+        E = _canonical_rows(S[(sv > sv[:, :1] * _RAY_RANK_RTOL).sum(axis=1) >= m - 1])
         project = _ray_projector(E.T)
         missed = _row_norm(S - project(S)) > _REPRODUCE_RTOL * _row_norm(S)
         if missed.any():

@@ -19,7 +19,8 @@ import numpy as np
 MAX_GENERATORS = 12
 MAX_DIM = 16  # every cone's dimension cap; cones.MAX_DENSE_DIM reads it
 
-_RANK_RTOL = 1e-12
+_RANK_RTOL = 1e-12  # independence of a subset of generators or normals
+_ORACLE_RTOL = 1e-8  # every oracle's relative tolerance: certificates, feasibility
 # Feasibility slack of a candidate ray against the row-normalized normals.
 _FEAS_TOL = 1e-9
 # A batch of fewer rows than this gives every row the bits of its own 1-row
@@ -194,17 +195,6 @@ class FaceTable:
                 best_p[better] = P[gi, :, rows][better]
             offset += W.shape[0]
 
-    def coefficients(self, subset_index, x):
-        """Least-squares coefficients of ``x`` on the given subset."""
-        if subset_index == 0:
-            return np.zeros(0)
-        offset = 1
-        for W, _ in self._groups:
-            if subset_index < offset + W.shape[0]:
-                return W[subset_index - offset] @ x
-            offset += W.shape[0]
-        raise IndexError(subset_index)
-
 
 def _unit_scaled(x):
     """``(x * 2^-e, e)`` with the largest entry of the scaled vector in
@@ -216,25 +206,23 @@ def _unit_scaled(x):
     return np.ldexp(x, -e), e
 
 
-def brute_force_project(generators, x, eps=1e-8):
+def brute_force_project(generators, x):
     """Project ``x`` onto the cone generated by ``generators``, with certificate.
 
     Enumerates every independent subset of generators, keeps the
     least-squares candidates with nonnegative coefficients, and returns the
-    minimum-distance candidate together with its optimality residuals
-    (point in the cone, error in the polar, complementarity).  Raises when
-    the winning candidate fails certification at ``eps``, which signals
-    inconsistent cone data.  The residuals are taken on ``x`` scaled by a
-    power of two, so they do not overflow at any scale of ``x``.
+    minimum-distance candidate with its optimality residuals (point in the
+    cone, error in the polar, complementarity).  These read only the
+    search's point and face, solving for the face coefficients anew, on
+    ``x`` scaled by a power of two, so they do not overflow at any scale of
+    ``x``.  Raises when one exceeds ``_ORACLE_RTOL``: inconsistent cone data.
 
     Parameters
     ----------
-    generators : array_like, shape (k, m)
+    generators : array_like, shape (k, m), or a FaceTable
         Generator vectors, one per row.  k <= 12, m <= 16.
     x : array_like, shape (m,)
         Point to project.
-    eps : float
-        Relative acceptance tolerance for the certificate.
     """
     table = generators if isinstance(generators, FaceTable) else FaceTable(generators)
     x = np.asarray(x, dtype=float)
@@ -247,35 +235,35 @@ def brute_force_project(generators, x, eps=1e-8):
     P, subs = table.project(u[None, :])
     p = P[0]
     S = table.subsets[subs[0]]
-    coeffs = table.coefficients(subs[0], u)
-
-    G = table.generators
-    neg = np.minimum(coeffs, 0.0)
-    primal = float(np.linalg.norm(neg @ G[list(S), :]) if len(S) else 0.0)
+    GS = table.generators[list(S)]  # (0, m) for the empty face, whose fit is the origin
+    coeffs = np.linalg.lstsq(GS.T, p, rcond=None)[0]
+    # The distance of p from the face's nonnegative fit bounds its distance from the cone.
+    primal = float(np.linalg.norm(p - np.maximum(coeffs, 0.0) @ GS))
     primal /= one + float(np.linalg.norm(p))
-    ghat = _unit_rows(G)
     err = u - p
-    polar = float(max(0.0, (ghat @ err).max())) / (one + float(np.linalg.norm(u)))
+    polar = float(max(0.0, (_unit_rows(table.generators) @ err).max()))
+    polar /= one + float(np.linalg.norm(u))
     # 1 + |x|^2 on the scale of u; past 2^1023 the quotient is below 2^-1019 either way.
     comp = float(abs(err @ p)) / (np.ldexp(1.0, min(-2 * e, 1023)) + float(u @ u))
     cert = ProjectionCertificate(point=np.ldexp(p, e), active_face=tuple(S),
                                  residual_primal=primal, residual_polar=polar,
                                  residual_complementarity=comp)
-    if not cert.accepted(eps):
+    if not cert.accepted(_ORACLE_RTOL):
         raise ValueError("no candidate certifies: inconsistent cone data "
                          f"(residuals {primal:.3e}, {polar:.3e}, {comp:.3e})")
     return cert
 
 
-def conic_feasibility(generators, x, eps=1e-8):
-    """True iff ``x`` is within ``eps*(1+|x|)`` of a nonnegative combination,
-    tested on ``x`` scaled by a power of two so that no norm overflows.
-    Raises ``ValueError`` on NaN/Inf entries (from :meth:`FaceTable.project`)."""
+def conic_feasibility(generators, x):
+    """True iff ``x`` is within ``_ORACLE_RTOL * (1 + |x|)`` of a nonnegative
+    combination, tested on ``x`` scaled by a power of two so that no norm
+    overflows.  Raises ``ValueError`` on NaN/Inf entries (from
+    :meth:`FaceTable.project`)."""
     table = generators if isinstance(generators, FaceTable) else FaceTable(generators)
     u, e = _unit_scaled(np.asarray(x, dtype=float))
     P, _ = table.project(u[None, :])
     dist = float(np.linalg.norm(u - P[0]))
-    return dist <= eps * (np.ldexp(1.0, -e) + float(np.linalg.norm(u)))
+    return dist <= _ORACLE_RTOL * (np.ldexp(1.0, -e) + float(np.linalg.norm(u)))
 
 
 def double_description(halfspaces):
@@ -330,14 +318,15 @@ def double_description(halfspaces):
 _SOC_SECTION = np.array([[1.0, 1.0], [-1.0, 1.0]])
 
 
-def lorentz_reference_project(x, eps=1e-8):
+def lorentz_reference_project(x):
     """Reference projection onto ``{(xbar, t) : |xbar| <= t}``.
 
     The second-order cone is invariant under rotations that fix the t-axis,
     and the projection of ``x`` therefore lies in the plane spanned by
     ``(xbar, 0)`` and the t-axis.  Inside that plane the cone is the
     two-dimensional wedge ``|a| <= b``, so the problem reduces to a planar
-    polyhedral projection handled by :func:`brute_force_project`.
+    polyhedral projection handled by :func:`brute_force_project`, certified
+    at its tolerance ``_ORACLE_RTOL``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
@@ -348,6 +337,6 @@ def lorentz_reference_project(x, eps=1e-8):
         p = np.zeros_like(x)
         p[-1] = max(t, 0.0)
         return p
-    cert = brute_force_project(_SOC_SECTION, np.array([radius, t]), eps=eps)
+    cert = brute_force_project(_SOC_SECTION, np.array([radius, t]))
     a, b = cert.point
     return np.concatenate([(a / radius) * bar, [b]])

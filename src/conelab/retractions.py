@@ -108,18 +108,23 @@ def minkowski_pair(cone, y, tol=DEFAULT_TOL):
     hs = cone.halfspaces()
     yv = as_vector(y, hs.dim)
     N = hs.normals
-    # Tested on the unit normals and y scaled by a power of two, so that no
-    # norm overflows or underflows at any scale of y; a zero y is refused.
-    s = oracle._scaled_rows(yv[None, :])[0][0]
+    # y = s 2^e, s with its largest entry in [0.5, 1).  The interiority test
+    # and m(x) = (phi(x) 2^e) s read s, not y, so neither overflows nor
+    # underflows where m(x) itself does not; a zero y is refused.
+    S, e = oracle._scaled_rows(yv[None, :])
+    s, e = S[0], int(e[0, 0])
     if np.any(oracle._unit_rows(N) @ s <= 1e-12 * _row_norm(s)):
         raise ValueError("anchor must be strictly interior to the cone")
-    den = N @ yv
+    den = N @ s
+
+    def scaled_phi(X):  # phi(X) 2^e, row by row
+        return _row_max(_dot(X, N.T) / den)
 
     def phi(x):
-        return _rowwise(lambda X: _row_max(_dot(X, N.T) / den), x, hs.dim)
+        return _rowwise(lambda X: np.ldexp(scaled_phi(X), -e), x, hs.dim)
 
     def m_map(X):
-        return phi(X)[:, None] * yv
+        return scaled_phi(X)[:, None] * s
 
     def n_map(X):
         return X - m_map(X)

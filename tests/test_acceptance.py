@@ -133,7 +133,7 @@ def test_criterion_5_projection_oracle_equivalence():
         table = FaceTable(np.eye(d))
         closed = np.clip(X, 0.0, None)
         for x, c in zip(X, closed):
-            cert = brute_force_project(table, x, eps=1e-8)
+            cert = brute_force_project(table, x)
             ok = ok and float(np.linalg.norm(cert.point - c)) <= 1e-9 * (1.0 + float(np.linalg.norm(x)))
         if not ok:
             break

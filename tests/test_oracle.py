@@ -9,6 +9,7 @@ from conelab.oracle import _FOLD_ROWS, FaceTable, _unit_rows
 from conelab.sampling import gaussian_points, rng_for
 
 WEDGE = np.array([[1.0, 0.0], [1.0, 1.0]])  # generators of an acute planar cone
+SKEW = np.array([[1.0, 0.0, 0.1], [0.2, 1.0, 0.0], [0.0, 0.3, 1.0]])  # a skew 3-D cone
 
 
 def test_project_off_cone_point():
@@ -47,8 +48,6 @@ def test_generator_caps():
     table = FaceTable(WEDGE)
     with pytest.raises(ValueError, match="dimension mismatch"):
         table.project(np.ones((1, 3)))
-    with pytest.raises(IndexError):
-        table.coefficients(len(table.subsets), np.ones(2))
 
 
 def test_uncertified_projection_raises(monkeypatch):
@@ -58,6 +57,23 @@ def test_uncertified_projection_raises(monkeypatch):
                         lambda self, X: (np.zeros_like(X), np.zeros(len(X), dtype=int)))
     with pytest.raises(ValueError, match="no candidate certifies"):
         brute_force_project(WEDGE, [1.0, 1.0])
+
+
+def test_certificate_reads_only_the_search_answer(monkeypatch):
+    # The search answers, then its pseudo-inverse rows are negated: a
+    # certificate that re-read them would see negative coefficients.
+    project = FaceTable.project
+
+    def project_then_corrupt(self, X):
+        answer = project(self, X)
+        self._groups = [(-W, GS) for W, GS in self._groups]
+        return answer
+
+    monkeypatch.setattr(FaceTable, "project", project_then_corrupt)
+    x = np.array([0.3, 1.4, -0.8])
+    cert = brute_force_project(SKEW, x)
+    assert cert.accepted(1e-12)
+    assert np.array_equal(cert.point, FaceTable(SKEW).project(x[None, :])[0][0])
 
 
 def test_lorentz_reference_project_axis_and_dimension():
@@ -136,11 +152,10 @@ def test_oracle_matches_closed_form_lorentz():
 def test_certified_point_is_argmin_empirically():
     rng = rng_for(2, "argmin")
     x = np.array([0.3, 1.4, -0.8])
-    G = np.array([[1.0, 0.0, 0.1], [0.2, 1.0, 0.0], [0.0, 0.3, 1.0]])
-    cert = brute_force_project(G, x)
+    cert = brute_force_project(SKEW, x)
     d_star = np.linalg.norm(x - cert.point)
     coeffs = np.abs(rng.standard_normal((1000, 3)))
-    members = coeffs @ G
+    members = coeffs @ SKEW
     dists = np.linalg.norm(members - x, axis=1)
     assert np.all(d_star <= dists + 1e-9)
 

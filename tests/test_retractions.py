@@ -407,11 +407,18 @@ def test_minkowski_pair_on_a_generator_cone():
 
 @pytest.mark.parametrize("k", [-990, 0, 500, 990])
 def test_minkowski_anchor_at_any_scale(k):
-    # m is invariant under the scale of the anchor, and the interiority test
-    # takes no norm of the raw anchor, whose squares overflow from 2^512.
+    # m and n are invariant under the scale of the anchor and commute with
+    # scaling x by 2^j, bit for bit, even where phi(x) itself would overflow
+    # (k = -990, j = 495) or underflow (k = 990, j = -495); the interiority
+    # test takes no norm of the raw anchor, whose squares overflow from 2^512.
     X = gaussian_points(rng_for(0, "anchor-scale"), 100, 2)
     pair = minkowski_pair(Orthant(2), np.ldexp([1.0, 1.0], k))
-    assert np.array_equal(pair.m(X), minkowski_pair(Orthant(2), [1.0, 1.0]).m(X))
+    unit = minkowski_pair(Orthant(2), [1.0, 1.0])
+    assert np.array_equal(pair.phi(X), np.ldexp(unit.phi(X), -k))
+    for j in sorted({-k // 2, 0, k // 2}):
+        Xj = np.ldexp(X, j)
+        assert np.array_equal(pair.m(Xj), np.ldexp(unit.m(X), j))
+        assert np.array_equal(pair.n(Xj), np.ldexp(unit.n(X), j))
 
 
 def test_pair_descriptor_round_trip():
