@@ -333,6 +333,6 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return _run(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"conelab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -315,13 +315,8 @@ class ConeSpec:
 
     @functools.cached_property
     def _polar(self):
-        """The halfspace cone of -E for the ray matrix E, built once: its rays are
-        -E when E is ``dim`` orthogonal rays, else its own double description's."""
-        E = self.generators()
-        pol = PolyhedralHalfspaces(-E)
-        if _orthogonal(E.T) is not None:
-            pol.__dict__["_rays"] = _readonly(_canonical_rows(-E))
-        return pol
+        """The halfspace cone of -E, E the ray matrix, built once; see its ``_rays``."""
+        return PolyhedralHalfspaces(-self.generators())
 
     def polar(self):
         """:attr:`_polar`, so it does not depend on how the cone was written;
@@ -339,8 +334,9 @@ class ConeSpec:
         near-parallel duplicates, in lexicographic order; a halfspace cone's
         lineality pairs follow its rays.  So it does not depend on how the cone
         was listed, and a cone's generator and halfspace forms give the same
-        matrix up to rounding.  A generator cone that holds a line keeps its
-        listed generators.  Raises for the cone {0}, which has no generator.
+        matrix up to rounding, bit for bit for ``dim`` orthogonal rays, which
+        run no double description.  A generator cone that holds a line keeps
+        its listed generators.  Raises for the cone {0}, which has no generator.
         """
         raise ValueError("cone is not polyhedral")
 
@@ -623,10 +619,12 @@ class PolyhedralHalfspaces(ConeSpec):
     @functools.cached_property
     def _rays(self):
         """Extreme rays in canonical order (see :meth:`generators`), then a
-        +/- pair per lineality row, from one double description of the
-        canonical normals; built once, read-only, and the same for any
-        listing of the normals."""
-        rays, lines = oracle.double_description(_canonical_rows(self.normals))
+        +/- pair per lineality row, built once: ``dim`` orthogonal canonical
+        normals N are their own rays, else one double description of N finds them."""
+        N = _canonical_rows(self.normals)
+        if _orthogonal(N.T) is not None:
+            return _readonly(N)
+        rays, lines = oracle.double_description(N)
         pairs = np.stack([lines, -lines], axis=1).reshape(-1, self.dim)
         return _readonly(np.vstack([_canonical_rows(rays), pairs]))
 

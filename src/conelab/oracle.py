@@ -2,10 +2,13 @@
 
 Everything here is deliberately exponential: projections are found by
 enumerating generator subsets and extreme rays by enumerating active
-constraint sets.  That keeps the code logically independent of the
-closed-form paths it is used to certify, at the price of hard caps on
-problem size: at most 12 generators/halfspaces (so ray enumeration solves
-at most C(12, 6) = 924 subsets, in any dimension) and dimension 16.
+constraint sets, at the price of hard caps on problem size: at most 12
+generators/halfspaces (so ray enumeration solves at most C(12, 6) = 924
+subsets, in any dimension) and dimension 16.  That keeps the certifiers
+independent of the closed forms they certify.  ``FaceTable`` and
+``double_description`` are production's engines too, until they move out
+of this module: the projector of a polyhedral cone whose rays are not
+orthogonal, and the rays of a halfspace cone whose normals are not.
 """
 
 from __future__ import annotations
@@ -326,17 +329,16 @@ def lorentz_reference_project(x):
     ``(xbar, 0)`` and the t-axis.  Inside that plane the cone is the
     two-dimensional wedge ``|a| <= b``, so the problem reduces to a planar
     polyhedral projection handled by :func:`brute_force_project`, certified
-    at its tolerance ``_ORACLE_RTOL``.
+    at its tolerance ``_ORACLE_RTOL``, on ``x`` scaled by a power of two, so
+    that the radius neither overflows nor underflows at any scale of ``x``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise ValueError("second-order cone requires dimension >= 2")
-    bar, t = x[:-1], x[-1]
+    u, e = _unit_scaled(x)
+    bar, t = u[:-1], u[-1]
     radius = float(np.linalg.norm(bar))
     if radius == 0.0:
-        p = np.zeros_like(x)
-        p[-1] = max(t, 0.0)
-        return p
-    cert = brute_force_project(_SOC_SECTION, np.array([radius, t]))
-    a, b = cert.point
-    return np.concatenate([(a / radius) * bar, [b]])
+        return np.ldexp(np.append(np.zeros_like(bar), max(t, 0.0)), e)
+    a, b = brute_force_project(_SOC_SECTION, np.array([radius, t])).point
+    return np.ldexp(np.append((a / radius) * bar, b), e)

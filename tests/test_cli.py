@@ -260,6 +260,19 @@ def test_bad_samples_or_seed_flag_exit_two(capsys, flag, value):
     assert capsys.readouterr().err.startswith("conelab: error: ")
 
 
+def test_too_many_samples_to_allocate_exit_two(monkeypatch, capsys):
+    # A config too big for memory is a bad config.  The draw raises as numpy
+    # would, without allocating: a runner that overcommits could be killed.
+    def no_memory(rng, n, dim):
+        raise MemoryError(f"no memory for a ({n}, {dim}) draw")
+
+    monkeypatch.setattr("conelab.properties.gaussian_points", no_memory)
+    assert main(["verify", "--pair", "lattice", "--samples", "1000000000000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("conelab: error: no memory for a (1000000000000, ")
+    assert err.count("\n") == 1
+
+
 def test_non_integer_cone_dim_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"pair": {"family": "lattice",

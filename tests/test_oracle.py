@@ -149,6 +149,22 @@ def test_oracle_matches_closed_form_lorentz():
         np.testing.assert_allclose(fast, ref, atol=1e-9 * (1.0 + np.linalg.norm(x)))
 
 
+@pytest.mark.parametrize("k", [0, 200, -200, 700, -700, 990, -990])
+def test_lorentz_reference_at_any_scale(k):
+    # The radius is taken on x scaled by a power of two, so it neither
+    # underflows to the t-axis branch nor overflows to an Inf.
+    X = np.ldexp(gaussian_points(rng_for(abs(k), "oracle-lorentz-scale"), 50, 4), k)
+    for x in X:
+        error = lorentz_reference_project(x) - project_cone(Lorentz(4), x)
+        assert np.abs(error).max() <= 1e-12 * np.abs(x).max()  # no square overflows
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e200])
+def test_lorentz_reference_of_a_tiny_and_a_huge_point(s):
+    np.testing.assert_allclose(lorentz_reference_project(np.array([3.0, 4.0, 1.0]) * s),
+                               np.array([1.8, 2.4, 3.0]) * s, rtol=1e-15)
+
+
 def test_certified_point_is_argmin_empirically():
     rng = rng_for(2, "argmin")
     x = np.array([0.3, 1.4, -0.8])

@@ -3,8 +3,9 @@ depend on how the cone was written.
 
 A cone given by generators keeps its extreme rays only, as sorted unit
 vectors; a cone given by halfspaces runs one double description on its
-sorted unit normals.  In either form the polar is the halfspace cone of -E
-for that ray matrix E, with the rays -E when E is ``dim`` orthogonal rays.  So
+sorted unit normals, or none when they are ``dim`` orthogonal vectors, which
+are then its rays.  In either form the polar is the halfspace cone of -E for
+that ray matrix E, with the rays -E when E is ``dim`` orthogonal rays.  So
 permuting the generators, scaling each by 2^k, or appending positive
 combinations of them changes nothing a report reads, bit for bit, and
 neither does permuting or 2^k-scaling the normals of a halfspace cone.
@@ -21,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conelab import (Orthant, PolyhedralGenerators, PolyhedralHalfspaces, Simplicial,
-                     moreau_pair, run_catalogue)
-from conelab.cones import _REPRODUCE_RTOL, _canonical_rows, _orthogonal
+                     moreau_pair, oracle, run_catalogue)
+from conelab.cones import _REPRODUCE_RTOL, _canonical_rows
 from conelab.oracle import FaceTable, _unit_rows
 from conelab.sampling import cone_members, gaussian_points, rng_for
 
@@ -160,25 +161,33 @@ def test_a_polar_depends_only_on_the_ray_matrix(family, seed):
         E = cone.generators()
         polar = cone.polar()
         assert polar.normals.shape == E.shape and polar.normals.tobytes() == (-E).tobytes()
-        rays = (_canonical_rows(-E) if _orthogonal(E.T) is not None
-                else PolyhedralHalfspaces(-E).generators())
-        assert _bitwise_equal([polar.generators()], [rays])
+        assert _bitwise_equal([polar.generators()], [PolyhedralHalfspaces(-E).generators()])
 
 
 @pytest.mark.parametrize("d", [*range(2, 8), 11, 12])
-def test_orthogonal_rays_get_the_exact_polar(d):
+def test_orthogonal_rays_get_the_exact_polar(d, monkeypatch):
     # The polar of d orthogonal rays E is the cone of -E: both forms give its
     # rays as -E, bit for bit, with no double description of the polar (which
-    # rounds), in every dimension up to the generator cap.
+    # rounds), in every dimension up to the generator cap.  A square listing
+    # is its own ray matrix in both forms, so its Moreau pair runs none at all.
+    calls = []
+    double_description = oracle.double_description
+    monkeypatch.setattr(oracle, "double_description",
+                        lambda N: calls.append(len(N)) or double_description(N))
     rng = rng_for(d, "exact-orthogonal-polar")
     for redundant in range(min(4, 13 - d)):  # at most 12 generators
         G = _rotated_orthant(rng, d)
         V = np.vstack([G, rng.uniform(0.2, 1.0, (redundant, d)) @ G])  # strictly interior
         V = np.ldexp(V, rng.integers(-8, 9, (len(V), 1)))
         for cone in (PolyhedralGenerators(V), PolyhedralHalfspaces(V)):
+            calls.clear()
+            pair = moreau_pair(cone)
+            assert calls == ([d + redundant] if redundant else [])  # the listing's own rays
             E = cone.generators()
             assert E.shape == (d, d)
-            assert cone.polar().generators().tobytes() == _canonical_rows(-E).tobytes()
+            if not redundant:
+                assert E.tobytes() == _canonical_rows(V).tobytes()
+            assert pair.cone_n.generators().tobytes() == _canonical_rows(-E).tobytes()
     # The Moreau maps are the clamp Q max(Q^T x, 0) and the rest.
     pair, Q = moreau_pair(PolyhedralGenerators(V)), _unit_rows(G).T
     X = gaussian_points(rng, 200, d)
